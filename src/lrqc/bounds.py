@@ -12,7 +12,7 @@ from typing import Any
 import numpy as np
 
 from .regions import Region, in_boundary
-from .swapcore import LocalStructure
+from .swapcore import LocalStructure, split_by_region
 
 MAX_CANDIDATE_REGIONS = 20
 
@@ -52,39 +52,41 @@ def boundary_probability(target: Region, structure: LocalStructure) -> float:
                      if in_boundary(region, target))
 
 
-def reachable_boundary_range(initial: Region, structure: LocalStructure,
-                             depth: int) -> tuple[float, float]:
-    """Largest and smallest boundary weights among regions reachable in ``depth`` moves.
+def reachable_boundary_column(initial: Region, structure: LocalStructure,
+                              k_max: int) -> list[tuple[float, float]]:
+    """Largest and smallest boundary weights of the regions reachable in <= k moves, k = 0..k_max.
 
-    One move joins or subtracts a local region straddling the current
-    region's boundary; these are exactly the regions the evolved swap can
-    visit.  Feeds ``area_law_bound`` with honest pX and pXtilde values.
+    One breadth-first search serves every k.  A move joins or subtracts a local region
+    straddling the current region's boundary; these are exactly the regions the evolved
+    swap can visit.  Feeds ``area_law_bound`` with honest pX and pXtilde values.
     """
     if initial.n != structure.n:
         raise ValueError("initial region universe does not match the structure")
-    if depth < 0:
+    if k_max < 0:
         raise ValueError("depth must be >= 0")
-    n = structure.n
-    locals_ = [r.bits for r in structure.regions]
-    full = (1 << n) - 1
-    seen = {initial.bits}
-    frontier = {initial.bits}
-    for _ in range(depth):
-        nxt = set()
-        for mask in frontier:
-            for lm in locals_:
-                if mask & lm and lm & ~mask & full:
-                    for moved in (mask & ~lm, mask | lm):
-                        if moved not in seen:
-                            seen.add(moved)
-                            nxt.add(moved)
-        if len(seen) > 1 << 16:
-            raise ValueError("reachable-region enumeration exceeded 2^16 regions")
-        if not nxt:
-            break
-        frontier = nxt
-    probs = [boundary_probability(Region(mask, n), structure) for mask in seen]
-    return max(probs), min(probs)
+    moves = [(np.uint64(r.bits), q) for r, q in zip(structure.regions, structure.weight_vector())]
+    seen = frontier = np.array([initial.bits], dtype=np.uint64)
+    p_max, p_min, out = -math.inf, math.inf, []
+    for depth in range(k_max + 1):
+        probs, reached = np.zeros(frontier.size), []
+        for mask, q in moves:
+            moved = split_by_region(frontier, mask)[1]
+            probs[moved] += q
+            reached += [frontier[moved] & ~mask, frontier[moved] | mask]
+        p_max, p_min = float(probs.max(initial=p_max)), float(probs.min(initial=p_min))
+        out.append((p_max, p_min))
+        if depth < k_max:
+            frontier = np.setdiff1d(np.concatenate(reached), seen)
+            seen = np.union1d(seen, frontier)
+            if seen.size > 1 << 16:
+                raise ValueError("reachable-region enumeration exceeded 2^16 regions")
+    return out
+
+
+def reachable_boundary_range(initial: Region, structure: LocalStructure,
+                             depth: int) -> tuple[float, float]:
+    """Entry ``depth`` of ``reachable_boundary_column``."""
+    return reachable_boundary_column(initial, structure, depth)[depth]
 
 
 def area_law_bound(pX: float, pXtilde: float, d: int, k: int) -> BoundReport:

@@ -21,7 +21,7 @@ from typing import Any
 from . import __version__
 from .bounds import (area_law_bound, boundary_probability, BoundReport,
                      correlated_convergence_bound, entangling_power,
-                     first_moment_convergence_bound, reachable_boundary_range,
+                     first_moment_convergence_bound, reachable_boundary_column,
                      swap_constant, t_design_delta)
 from .config import (ExperimentConfig, ValidationError, family_structures,
                      load_config, model_shape, policy_from_config, region_from_sites,
@@ -118,12 +118,11 @@ def _initial_region(cfg: ExperimentConfig, n: int) -> Region:
 
 def cmd_evolve(cfg: ExperimentConfig) -> ResultTable:
     n, d = model_shape(cfg.model)
-    structure = structure_from_model(cfg.model)
     spec = spec_from_config(cfg)
     initial = _initial_region(cfg, n)
     k_max = run_int(cfg, "k_max")
     traj = purity_trajectory(initial, spec, k_max)
-    p_inf = purity_infinity(initial, structure, d)
+    p_inf = purity_infinity(initial, spec.structure, d)
     columns: dict[str, list] = {
         "k": list(range(k_max + 1)),
         "P_k": traj,
@@ -132,11 +131,9 @@ def cmd_evolve(cfg: ExperimentConfig) -> ResultTable:
     if cfg.run.get("area_law"):
         if not isinstance(spec.policy, Uncorrelated):
             raise ValidationError("the area-law column applies to the uncorrelated policy only")
-        bound_col = []
-        for k in range(k_max + 1):
-            p_x, p_xt = reachable_boundary_range(initial, structure, k)
-            bound_col.append(area_law_bound(p_x, p_xt, d, k).value)
-        columns["area_law_bound"] = bound_col
+        ranges = reachable_boundary_column(initial, spec.structure, k_max)
+        columns["area_law_bound"] = [area_law_bound(p_x, p_xt, d, k).value
+                                     for k, (p_x, p_xt) in enumerate(ranges)]
     return ResultTable(columns)
 
 
@@ -380,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, OSError) as exc:  # OSError: output not writable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

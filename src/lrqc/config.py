@@ -104,6 +104,8 @@ def structure_from_model(model: dict[str, Any]) -> LocalStructure:
     try:
         return LocalStructure(n, tuple(region_from_sites(r, n) for r in regions),
                               None if weights is None else tuple(weights))
+    except TypeError as exc:
+        raise ValidationError(f"model.weights must be a list of numbers: {exc}") from exc
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 

@@ -144,11 +144,9 @@ def _apply_gates_batch(states: np.ndarray, sites: Sequence[int], gates: np.ndarr
                        n: int, d: int) -> np.ndarray:
     """Apply per-sample gates on the given sites to a (samples, d^n) batch."""
     c = states.shape[0]
-    dm = d ** len(sites)
-    perm = _region_perm(n, sites, batched=True)
-    t = states.reshape((c,) + (d,) * n).transpose(perm).reshape(c, dm, -1)
-    t = gates @ t
-    return t.reshape((c,) + (d,) * n).transpose(np.argsort(perm)).reshape(c, -1)
+    t = gates @ _region_factors(states, sites, n, d)
+    inverse = np.argsort(_region_perm(n, sites, batched=True))
+    return t.reshape((c,) + (d,) * n).transpose(inverse).reshape(c, -1)
 
 
 def apply_gate(state: DenseState, region: Region, gate: np.ndarray) -> DenseState:
@@ -173,8 +171,7 @@ def _region_factors(states: np.ndarray, sites: Sequence[int], n: int, d: int) ->
 
 
 def _purity_batch(states: np.ndarray, sites: Sequence[int], n: int, d: int) -> np.ndarray:
-    m = _region_factors(states, sites, n, d)
-    g = np.einsum('sab,scb->sac', m, m.conj())
+    g = _reduced_density_batch(states, sites, n, d)
     return np.einsum('sac,sac->s', g, g.conj()).real
 
 

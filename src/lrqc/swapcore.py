@@ -4,8 +4,11 @@ A circuit ensemble acts on the 2^n-dimensional real span of swap operators,
 one per site subset.  A single Haar-averaged gate on a local region either
 fixes a swap (when the region does not straddle its boundary) or splits it
 into two swaps with positive branch weights, so a state of the dynamics is a
-sparse positive combination of regions.  Everything here is exact linear
-algebra; the Monte Carlo cross-check lives in ``lrqc.oracle``.
+sparse positive combination of regions: a sorted, unique ``uint64`` mask
+array plus a ``float64`` coefficient array.  One vectorized kernel
+(``_scatter``) evolves such states and fills the dense step matrices;
+``SwapVector`` is the dict form at the API boundary.  Everything here is exact
+linear algebra; the Monte Carlo cross-check lives in ``lrqc.oracle``.
 """
 from __future__ import annotations
 
@@ -189,10 +192,6 @@ class SwapVector:
         return cls(region.n, {region: 1.0}, prune_tol)
 
 
-def _pruned(n: int, terms: dict[Region, float], tol: float) -> SwapVector:
-    return SwapVector(n, {r: c for r, c in terms.items() if abs(c) > tol}, tol)
-
-
 @lru_cache(maxsize=None)
 def _alpha(a: int, b: int, d: int) -> tuple[float, float]:
     cp = (d**a + d**b) / (d ** (a + b) + 1)
@@ -217,6 +216,81 @@ def alpha_coefficients(target: Region, local: Region, d: int) -> tuple[float, fl
     return _alpha(a, b, d)
 
 
+def _region_map(region: Region, d: int) -> tuple:
+    """Kernel tables of one region: mask, sites, and alpha_plus, alpha_minus indexed by |A & R|."""
+    s = region.size  # the entries for |A & R| = 0 and s belong to fixed swaps
+    table = [(0.0, 0.0)] + [_alpha(s - i, i, d) for i in range(1, s)] + [(0.0, 0.0)]
+    return (np.uint64(region.bits), region.sites(), *np.array(table).T)
+
+
+def split_by_region(masks: np.ndarray, mask: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the swap masks a gate on ``mask`` fixes, and of those it straddles."""
+    inter = masks & mask
+    hit = (inter != 0) & (inter != mask)
+    return np.flatnonzero(~hit), np.flatnonzero(hit)
+
+
+def _scatter(masks: np.ndarray, mask: np.uint64, sites, plus, minus) -> tuple[np.ndarray, ...]:
+    """Where one Haar-averaged gate sends the swaps of ``masks``: distinct (target, source) pairs.
+
+    Parallel arrays (source index, target mask, weight): a fixed swap goes to itself with
+    weight 1, a straddled swap A to A - R and A | R with alpha_plus and alpha_minus.
+    """
+    kept, moved = split_by_region(masks, mask)
+    hit = masks[moved]
+    # |A & R| summed over the region's own sites; np.bitwise_count would need numpy 2
+    inter = sum((hit >> np.uint64(s)) & np.uint64(1) for s in sites)
+    src = np.concatenate((kept, moved, moved))
+    dst = np.concatenate((masks[kept], hit & ~mask, hit | mask))
+    weight = np.concatenate((np.ones(kept.size), plus[inter], minus[inter]))
+    return src, dst, weight
+
+
+def _emit(state, rmap: tuple):
+    """One gate's image of an array state, before equal masks are merged."""
+    src, dst, weight = _scatter(state[0], *rmap)
+    return dst, state[1][src] * weight
+
+
+def _mix(weighted_states, tol: float):
+    """The combination of (weight, state) pairs, pruned at ``tol``.
+
+    States are merged into the sum as they arrive, so one unmerged state is held at a time.
+    """
+    masks, coefs = np.empty(0, dtype=np.uint64), np.empty(0)
+    for w, (m, c) in weighted_states:
+        masks, inverse = np.unique(np.concatenate((masks, m)), return_inverse=True)
+        coefs = np.bincount(inverse, weights=np.concatenate((coefs, w * c)), minlength=masks.size)
+    keep = np.abs(coefs) > tol
+    return masks[keep], coefs[keep]
+
+
+def _apply(state, rmap: tuple, tol: float):
+    return _mix([(1.0, _emit(state, rmap))], tol)
+
+
+def _step(state, spec: EnsembleSpec, maps: list[tuple], step_index: int, tol: float):
+    """One index step of an uncorrelated or correlated-sweep ensemble on an array state."""
+    if isinstance(spec.policy, CorrelatedSweep):
+        for idx in spec.policy.order:
+            state = _apply(state, maps[idx], tol)
+        return state
+    weights = spec.step_weights(step_index)
+    return _mix(((q, _emit(state, rmap)) for q, rmap in zip(weights, maps) if q), tol)
+
+
+def _to_state(v: SwapVector, n: int):
+    if v.n != n:
+        raise ValueError(f"region universe {v.n} does not match n={n}")
+    return (np.array([r.bits for r in v.terms], dtype=np.uint64),
+            np.array(list(v.terms.values()), dtype=float))
+
+
+def _to_vector(v: SwapVector, state) -> SwapVector:
+    terms = {Region(m, v.n): c for m, c in zip(*(a.tolist() for a in state))}
+    return SwapVector(v.n, terms, v.prune_tol)
+
+
 def apply_local(v: SwapVector, local: Region, d: int) -> SwapVector:
     """One Haar-averaged gate on ``local``, extended linearly over the vector.
 
@@ -225,46 +299,24 @@ def apply_local(v: SwapVector, local: Region, d: int) -> SwapVector:
     """
     if local.is_empty:
         raise ValueError("local region must be nonempty")
-    if local.n != v.n:
-        raise ValueError(f"local region universe {local.n} does not match n={v.n}")
-    lm = local.bits
-    full = (1 << v.n) - 1
-    out: dict[int, float] = {}
-    for region, c in v.terms.items():
-        m = region.bits
-        inter = m & lm
-        outside = lm & ~m & full
-        if inter == 0 or outside == 0:
-            out[m] = out.get(m, 0.0) + c
-        else:
-            ap, am = _alpha(outside.bit_count(), inter.bit_count(), d)
-            lo, hi = m & ~lm, m | lm
-            out[lo] = out.get(lo, 0.0) + ap * c
-            out[hi] = out.get(hi, 0.0) + am * c
-    n = v.n
-    return _pruned(n, {Region(m, n): c for m, c in out.items()}, v.prune_tol)
+    return _to_vector(v, _apply(_to_state(v, local.n), _region_map(local, d), v.prune_tol))
 
 
 def apply_step(v: SwapVector, spec: EnsembleSpec, step_index: int = 0) -> SwapVector:
     """One uncorrelated step: the weighted mixture of all single-region maps."""
-    weights = spec.step_weights(step_index)
-    acc: dict[Region, float] = {}
-    for region, q in zip(spec.structure.regions, weights):
-        if q == 0.0:
-            continue
-        for r, c in apply_local(v, region, spec.d).terms.items():
-            acc[r] = acc.get(r, 0.0) + q * c
-    return _pruned(v.n, acc, v.prune_tol)
+    return _step_vector(v, spec, step_index, Uncorrelated)
 
 
 def apply_sweep(v: SwapVector, spec: EnsembleSpec) -> SwapVector:
     """One correlated step: all local maps composed in the policy's order."""
-    pol = spec.policy
-    if not isinstance(pol, CorrelatedSweep):
-        raise ValueError("apply_sweep requires a correlated-sweep policy")
-    for idx in pol.order:
-        v = apply_local(v, spec.structure.regions[idx], spec.d)
-    return v
+    return _step_vector(v, spec, 0, CorrelatedSweep)
+
+
+def _step_vector(v: SwapVector, spec: EnsembleSpec, j: int, policy: type) -> SwapVector:
+    if not isinstance(spec.policy, policy):
+        raise ValueError(f"this step requires the {policy.__name__} policy, not {spec.policy!r}")
+    maps = [_region_map(r, spec.d) for r in spec.structure.regions]
+    return _to_vector(v, _step(_to_state(v, spec.structure.n), spec, maps, j, v.prune_tol))
 
 
 def contract_factorized(v: SwapVector) -> float:
@@ -300,33 +352,15 @@ def markov_purity(initial: Region, spec: EnsembleSpec, k: int) -> list[float]:
         raise ValueError("markov_purity requires a Markov policy")
     if k < 0:
         raise ValueError("k must be >= 0")
-    regions = spec.structure.regions
-    out = [1.0]
-    if k == 0:
-        return out
-    base = SwapVector.single(initial)
-    tol = base.prune_tol
-    n = spec.structure.n
-
-    def front_purity(branches) -> float:
-        return math.fsum(q * math.fsum(b.values())
-                         for q, b in zip(pol.initial, branches))
-
-    branches = [apply_local(base, region, spec.d).terms for region in regions]
-    out.append(front_purity(branches))
-    for _ in range(2, k + 1):
-        new_branches = []
-        for i, region in enumerate(regions):
-            mixed: dict[Region, float] = {}
-            for j, branch in enumerate(branches):
-                w = pol.matrix[i][j]
-                if w == 0.0:
-                    continue
-                for r, c in branch.items():
-                    mixed[r] = mixed.get(r, 0.0) + w * c
-            new_branches.append(apply_local(_pruned(n, mixed, tol), region, spec.d).terms)
-        branches = new_branches
-        out.append(front_purity(branches))
+    base = _to_state(SwapVector.single(initial), spec.structure.n)
+    maps = [_region_map(r, spec.d) for r in spec.structure.regions]
+    tol = DEFAULT_PRUNE_TOL
+    out, branches = [1.0], None
+    for _ in range(k):
+        branches = [_apply(base if branches is None else
+                           _mix(((w, b) for w, b in zip(row, branches) if w), tol), rmap, tol)
+                    for row, rmap in zip(pol.matrix, maps)]
+        out.append(math.fsum(q * math.fsum(b[1].tolist()) for q, b in zip(pol.initial, branches)))
     return out
 
 
@@ -341,14 +375,12 @@ def purity_trajectory(initial: Region, spec: EnsembleSpec, k_max: int) -> list[f
         raise ValueError("k_max must be >= 0")
     if isinstance(spec.policy, Markov):
         return markov_purity(initial, spec, k_max)
-    v = SwapVector.single(initial)
+    state = _to_state(SwapVector.single(initial), spec.structure.n)
+    maps = [_region_map(r, spec.d) for r in spec.structure.regions]
     out = [1.0]
     for j in range(k_max):
-        if isinstance(spec.policy, CorrelatedSweep):
-            v = apply_sweep(v, spec)
-        else:
-            v = apply_step(v, spec, j)
-        out.append(contract_factorized(v))
+        state = _step(state, spec, maps, j, DEFAULT_PRUNE_TOL)
+        out.append(math.fsum(state[1].tolist()))
     return out
 
 
@@ -365,33 +397,14 @@ class ComponentDecomposition:
 
 
 def connected_components(structure: LocalStructure) -> ComponentDecomposition:
-    """Union-find over regions that share at least one site."""
-    masks = [r.bits for r in structure.regions]
-    parent = list(range(len(masks)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, int] = {}
-    for i, m in enumerate(masks):
-        root = find(i)
-        groups[root] = groups.get(root, 0) | m
+    """Regions that share a site, merged until the groups are disjoint."""
+    groups: list[int] = []  # pairwise disjoint masks, so their sum is their union
+    for region in structure.regions:
+        touching = [g for g in groups if g & region.bits]
+        groups = [g for g in groups if not g & region.bits] + [region.bits | sum(touching)]
     n = structure.n
-    covered = 0
-    for m in groups.values():
-        covered |= m
-    components = tuple(sorted((Region(m, n) for m in groups.values()),
-                              key=lambda r: min(r.sites())))
-    return ComponentDecomposition(components, Region(covered ^ ((1 << n) - 1), n))
+    components = tuple(Region(m, n) for m in sorted(groups, key=lambda m: m & -m))
+    return ComponentDecomposition(components, Region(sum(groups) ^ ((1 << n) - 1), n))
 
 
 def purity_infinity(initial: Region, structure: LocalStructure, d: int) -> float:
@@ -417,30 +430,13 @@ def purity_infinity(initial: Region, structure: LocalStructure, d: int) -> float
 # Dense matrix form, fixed-space dimension, spectral gap
 # ---------------------------------------------------------------------------
 
-def _single_region_matrix(local: Region, n: int, d: int) -> np.ndarray:
-    dim = 1 << n
-    full = dim - 1
-    lm = local.bits
-    mat = np.zeros((dim, dim))
-    for a in range(dim):
-        inter = a & lm
-        outside = lm & ~a & full
-        if inter == 0 or outside == 0:
-            mat[a, a] += 1.0
-        else:
-            ap, am = _alpha(outside.bit_count(), inter.bit_count(), d)
-            mat[a & ~lm, a] += ap
-            mat[a | lm, a] += am
-    return mat
-
-
 def build_swap_matrix(spec: EnsembleSpec) -> np.ndarray:
     """Dense 2^n x 2^n matrix of one ensemble step on the swap basis.
 
     Column A (regions indexed by their masks) holds the coefficients of the
-    evolved swap of A.  Uncorrelated policies give the weighted mixture of
-    the single-region matrices; a correlated sweep gives their ordered
-    product.  Markov policies have no single step matrix.
+    evolved swap of A.  Uncorrelated policies scatter the weighted single-region
+    maps straight into it; a correlated sweep row-scatters each map onto the
+    running product.  Markov policies have no single step matrix.
     """
     n = spec.structure.n
     if n > DENSE_MATRIX_MAX_SITES:
@@ -448,18 +444,23 @@ def build_swap_matrix(spec: EnsembleSpec) -> np.ndarray:
     pol = spec.policy
     if isinstance(pol, Markov):
         raise ValueError("a Markov ensemble is not a single linear map on the swap basis")
-    singles = {r: _single_region_matrix(r, n, spec.d) for r in set(spec.structure.regions)}
+    if isinstance(pol, Uncorrelated) and pol.step_weights is not None:
+        raise ValueError("time-dependent weights do not define a single step matrix")
+    maps = [_region_map(r, spec.d) for r in spec.structure.regions]
+    dim = 1 << n
+    masks = np.arange(dim, dtype=np.uint64)
     if isinstance(pol, Uncorrelated):
-        if pol.step_weights is not None:
-            raise ValueError("time-dependent weights do not define a single step matrix")
-        weights = spec.structure.weight_vector()
-        out = np.zeros((1 << n, 1 << n))
-        for q, region in zip(weights, spec.structure.regions):
-            out += q * singles[region]
+        out = np.zeros((dim, dim))
+        for q, rmap in zip(spec.structure.weight_vector(), maps):
+            src, dst, weight = _scatter(masks, *rmap)
+            out[dst, src] += q * weight  # distinct pairs, so no add.at is needed
         return out
-    out = np.eye(1 << n)
+    out = np.eye(dim)
     for idx in pol.order:
-        out = singles[spec.structure.regions[idx]] @ out
+        src, dst, weight = _scatter(masks, *maps[idx])
+        flat = (dst.astype(np.intp)[:, None] * dim + np.arange(dim)).ravel()
+        out = np.bincount(flat, weights=(weight[:, None] * out[src]).ravel(),
+                          minlength=dim * dim).reshape(dim, dim)
     return out
 
 

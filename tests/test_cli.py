@@ -277,6 +277,20 @@ class TestValidation:
         assert run_cli(tmp_path, "evolve", cfg) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("weights", [5, [0.5, None], True, {"a": 1.0}])
+    def test_malformed_weights(self, tmp_path, capsys, weights):
+        out = tmp_path / "x.csv"
+        cfg = base_config(str(out), model={"weights": weights})
+        assert run_cli(tmp_path, "evolve", cfg) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run_cli(tmp_path, "evolve", base_config(str(out))) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.parent.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["evolve", "--config", str(tmp_path / "missing.json")]) == 2
 
