@@ -188,7 +188,7 @@ def cmd_gap(cfg: ExperimentConfig) -> ResultTable:
     for n, structure in instances:
         policy = policy_from_config(cfg.policy, len(structure.regions))
         spec = EnsembleSpec(structure, policy, d)
-        gap = spectral_gap_swap(build_swap_matrix(spec), d)
+        gap = spectral_gap_swap(spec)
         ns.append(n)
         if isinstance(policy, CorrelatedSweep):
             raw = cfg.policy.get("order")
@@ -307,8 +307,7 @@ def _fixcheck_rows(structure: LocalStructure, d: int):
     if overlap is not None:
         a, b = overlap
         yield ("pair-overlap", [a, b], 2 ** (n - (a | b).size + 1), measured((a, b)))
-    decomposition = connected_components(structure)
-    predicted = 2 ** len(decomposition.components) * 2 ** decomposition.residual.size
+    predicted = connected_components(structure).fixed_dimension
     yield ("full-ensemble", list(regions), predicted, measured(regions))
 
 

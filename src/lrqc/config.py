@@ -115,8 +115,8 @@ def family_structures(model: dict[str, Any]) -> list[tuple[int, LocalStructure]]
     family = _require(model, "family", "gap model")
     kind = _require(family, "kind", "model.family")
     sizes = _require(family, "sizes", "model.family")
-    if not isinstance(sizes, list) or not all(isinstance(s, int) for s in sizes):
-        raise ValidationError("model.family.sizes must be a list of integers")
+    if not isinstance(sizes, list) or not sizes or not all(isinstance(s, int) for s in sizes):
+        raise ValidationError("model.family.sizes must be a nonempty list of integers")
     builders = {"path": path_structure, "complete": complete_structure}
     if kind not in builders:
         raise ValidationError(f"unknown family kind {kind!r}; expected one of {sorted(builders)}")

@@ -12,6 +12,7 @@ linear algebra; the Monte Carlo cross-check lives in ``lrqc.oracle``.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,9 +24,13 @@ from .errors import CapExceeded, NumericalAmbiguityError
 from .regions import Region, in_boundary
 
 DENSE_MATRIX_MAX_SITES = 14
+MATRIX_BYTE_BUDGET = 4 << 30  # admits uncorrelated builds up to 14 sites, two-site sweeps up to 13
 DEFAULT_PRUNE_TOL = 1e-15
 RANK_TOL = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
+_LANCZOS_TOL = 1e-13  # Ritz residual bound; B^T B has norm at most 1
+
+_log = logging.getLogger("lrqc")
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +400,11 @@ class ComponentDecomposition:
     components: tuple[Region, ...]
     residual: Region
 
+    @property
+    def fixed_dimension(self) -> int:
+        """How many swaps are unions of whole components and uncovered sites."""
+        return 2 ** (len(self.components) + self.residual.size)
+
 
 def connected_components(structure: LocalStructure) -> ComponentDecomposition:
     """Regions that share a site, merged until the groups are disjoint."""
@@ -430,50 +440,91 @@ def purity_infinity(initial: Region, structure: LocalStructure, d: int) -> float
 # Dense matrix form, fixed-space dimension, spectral gap
 # ---------------------------------------------------------------------------
 
-def build_swap_matrix(spec: EnsembleSpec) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of one ensemble step on the swap basis.
-
-    Column A (regions indexed by their masks) holds the coefficients of the
-    evolved swap of A.  Uncorrelated policies scatter the weighted single-region
-    maps straight into it; a correlated sweep row-scatters each map onto the
-    running product.  Markov policies have no single step matrix.
-    """
-    n = spec.structure.n
-    if n > DENSE_MATRIX_MAX_SITES:
-        raise CapExceeded(f"dense swap matrices are capped at {DENSE_MATRIX_MAX_SITES} sites, got {n}")
+def _require_single_step(spec: EnsembleSpec) -> None:
     pol = spec.policy
     if isinstance(pol, Markov):
         raise ValueError("a Markov ensemble is not a single linear map on the swap basis")
     if isinstance(pol, Uncorrelated) and pol.step_weights is not None:
         raise ValueError("time-dependent weights do not define a single step matrix")
-    maps = [_region_map(r, spec.d) for r in spec.structure.regions]
+
+
+def _acting_regions(spec: EnsembleSpec) -> tuple[Region, ...]:
+    """The regions a step applies: all of them in a sweep, those of positive weight otherwise."""
+    st = spec.structure
+    if isinstance(spec.policy, CorrelatedSweep):
+        return st.regions
+    return tuple(r for q, r in zip(st.weight_vector(), st.regions) if q)
+
+
+def _factor(region: Region, d: int, q: float = 1.0) -> tuple[np.ndarray, ...]:
+    """A gate on ``region`` over all 2^n swaps: ``_scatter``'s (source, target, q * weight)."""
+    src, dst, weight = _scatter(np.arange(1 << region.n, dtype=np.uint64), *_region_map(region, d))
+    return src, dst.astype(np.intp), q * weight
+
+
+def _step_factors(spec: EnsembleSpec) -> list[tuple[np.ndarray, ...]]:
+    """One ensemble step on all 2^n swaps as sparse factors, in the order they act.
+
+    An uncorrelated step is one factor, the weighted concatenation of every region of
+    positive weight; a correlated sweep has one factor per region, in the policy's order.
+    """
+    st = spec.structure
+    if isinstance(spec.policy, CorrelatedSweep):
+        return [_factor(st.regions[idx], spec.d) for idx in spec.policy.order]
+    pieces = [_factor(r, spec.d, q) for q, r in zip(st.weight_vector(), st.regions) if q]
+    return [tuple(np.concatenate(p) for p in zip(*pieces))]
+
+
+def _apply_factors(factors: list, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """The step (or its transpose) applied to a dense vector over all 2^n swaps."""
+    for src, dst, weight in reversed(factors) if transpose else factors:
+        if transpose:
+            src, dst = dst, src
+        x = np.bincount(dst, weights=weight * x[src], minlength=x.size)
+    return x
+
+
+def _matrix_bytes(spec: EnsembleSpec) -> int:
+    """Peak bytes ``build_swap_matrix`` holds, counted from the region sizes alone."""
+    dim = 1 << spec.structure.n
+    # a region of s sites fixes 2 dim / 2^s masks; each straddled mask emits two entries
+    entries = [2 * dim - (dim >> (r.size - 1)) for r in _acting_regions(spec)]
+    if isinstance(spec.policy, CorrelatedSweep):
+        # factors, then per region: old and new product, flat indices, gathered and weighted rows
+        return 24 * sum(entries) + max(16 * dim * dim + 24 * e * dim for e in entries)
+    # pieces and their concatenation, then the output beside the flat indices
+    return 8 * dim * dim + 48 * sum(entries)
+
+
+def build_swap_matrix(spec: EnsembleSpec) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of one ensemble step on the swap basis.
+
+    Column A (regions indexed by their masks) holds the coefficients of the
+    evolved swap of A.  An uncorrelated step scatters its one factor straight
+    into it; a correlated sweep row-scatters each factor onto the running
+    product.  Markov policies have no single step matrix.  A build whose
+    arrays would exceed ``MATRIX_BYTE_BUDGET`` is refused before anything is
+    allocated.
+    """
+    n = spec.structure.n
+    if n > DENSE_MATRIX_MAX_SITES:
+        raise CapExceeded(f"dense swap matrices are capped at {DENSE_MATRIX_MAX_SITES} sites, got {n}")
+    _require_single_step(spec)
+    need = _matrix_bytes(spec)
+    if need > MATRIX_BYTE_BUDGET:
+        raise CapExceeded(f"a {n}-site step matrix build needs {need} bytes, "
+                          f"over the budget of {MATRIX_BYTE_BUDGET} bytes")
+    factors = _step_factors(spec)
     dim = 1 << n
-    masks = np.arange(dim, dtype=np.uint64)
-    if isinstance(pol, Uncorrelated):
-        out = np.zeros((dim, dim))
-        for q, rmap in zip(spec.structure.weight_vector(), maps):
-            src, dst, weight = _scatter(masks, *rmap)
-            out[dst, src] += q * weight  # distinct pairs, so no add.at is needed
-        return out
+    if isinstance(spec.policy, Uncorrelated):
+        src, dst, weight = factors[0]
+        return np.bincount(dst * dim + src, weights=weight, minlength=dim * dim).reshape(dim, dim)
     out = np.eye(dim)
-    for idx in pol.order:
-        src, dst, weight = _scatter(masks, *maps[idx])
-        flat = (dst.astype(np.intp)[:, None] * dim + np.arange(dim)).ravel()
+    for src, dst, weight in factors:
+        flat = (dst[:, None] * dim + np.arange(dim)).ravel()
         out = np.bincount(flat, weights=(weight[:, None] * out[src]).ravel(),
                           minlength=dim * dim).reshape(dim, dim)
     return out
-
-
-def _kernel_of_shift(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the eigenvalue-1 space of ``matrix``."""
-    dim = matrix.shape[0]
-    _, s, vh = np.linalg.svd(matrix - np.eye(dim))
-    in_band = (s > tol) & (s <= 1e3 * tol)
-    if np.any(in_band):
-        raise NumericalAmbiguityError(
-            f"singular values {s[in_band]} fall inside the ambiguity band around tol={tol}")
-    k = int(np.sum(s <= tol))
-    return vh[dim - k:].T
 
 
 def fixed_space_dimension(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
@@ -482,41 +533,72 @@ def fixed_space_dimension(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
     Raises ``NumericalAmbiguityError`` instead of silently resolving counts
     whose singular values sit near the tolerance.
     """
-    return _kernel_of_shift(np.asarray(matrix, dtype=float), tol).shape[1]
+    mat = np.asarray(matrix, dtype=float)
+    s = np.linalg.svd(mat - np.eye(mat.shape[0]), compute_uv=False)
+    in_band = (s > tol) & (s <= 1e3 * tol)
+    if np.any(in_band):
+        raise NumericalAmbiguityError(
+            f"singular values {s[in_band]} fall inside the ambiguity band around tol={tol}")
+    return int(np.sum(s <= tol))
 
 
-def _gram_cholesky(n: int, d: int) -> np.ndarray:
-    """Cholesky factor of the normalized swap Gram matrix d^(-|A xor B|).
-
-    The Gram matrix factorizes over sites, so its Cholesky factor is the
-    n-fold Kronecker power of the one-site factor.
-    """
-    site = np.linalg.cholesky(np.array([[1.0, 1.0 / d], [1.0 / d, 1.0]]))
-    out = np.array([[1.0]])
-    for _ in range(n):
-        out = np.kron(out, site)
-    return out
+def _on_sites(site: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The n-fold Kronecker power of a 2x2 map applied to a vector of length 2^n."""
+    y = x
+    for _ in range(x.size.bit_length() - 1):  # map the leading site, rotate it last
+        y = (site @ y.reshape(2, -1)).T
+    return y.reshape(-1)
 
 
-def spectral_gap_swap(matrix: np.ndarray, d: int, tol: float = RANK_TOL) -> float:
-    """One minus the largest singular value outside the fixed space.
+def spectral_gap_swap(spec: EnsembleSpec) -> float:
+    """One minus the largest singular value of one step outside its fixed space.
 
     Singular values are taken in the Hilbert-Schmidt geometry of the swaps:
-    the raw region basis is not orthonormal, so the matrix is conjugated by
-    the Cholesky factor of the swap Gram matrix first, and the fixed space is
-    projected out orthogonally in those coordinates.
+    the region basis is not orthonormal, so the step M is conjugated by the
+    Cholesky factor C of the swap Gram matrix G = C C^T, and the fixed space
+    is projected out orthogonally in those coordinates.  A gate on a whole
+    component of the acting regions is the orthogonal projector onto the
+    swaps it fixes, so the product T of those gates projects onto the fixed
+    space, and P C^T M C^-T P = C^T (M - T) C^-T =: B.  Nothing of size 4^n
+    is formed: M and T act through their sparse factors, C and G through
+    their Kronecker structure (one 2x2 map per site).  Lanczos with full
+    reorthogonalization on B^T B starts from a fixed vector and stops once
+    the Ritz residual of the largest value is below ``_LANCZOS_TOL``.
     """
-    mat = np.asarray(matrix, dtype=float)
-    dim = mat.shape[0]
-    n = dim.bit_length() - 1
-    if 1 << n != dim:
-        raise ValueError(f"matrix dimension {dim} is not a power of two")
-    if d < 2:
-        raise ValueError("local dimension must be >= 2")
-    chol = _gram_cholesky(n, d)
-    fixed = _kernel_of_shift(mat, tol)
-    primed = chol.T @ mat @ np.linalg.inv(chol).T
-    q, _ = np.linalg.qr(chol.T @ fixed)
-    proj = np.eye(dim) - q @ q.T
-    sigma = np.linalg.svd(proj @ primed @ proj, compute_uv=False)[0]
-    return float(min(1.0, max(0.0, 1.0 - sigma)))
+    n = spec.structure.n
+    if n > DENSE_MATRIX_MAX_SITES:  # kept until the solver budgets its own bytes
+        raise CapExceeded(f"the spectral gap is capped at {DENSE_MATRIX_MAX_SITES} sites, got {n}")
+    _require_single_step(spec)
+    step = _step_factors(spec)
+    fixed = connected_components(LocalStructure(n, _acting_regions(spec)))
+    twirls = [_factor(component, spec.d) for component in fixed.components]
+    gram = np.array([[1.0, 1.0 / spec.d], [1.0 / spec.d, 1.0]])
+    inv = np.linalg.inv(np.linalg.cholesky(gram))  # one site of C^-1
+
+    def shifted(x: np.ndarray, transpose: bool = False) -> np.ndarray:  # (M - T) x
+        return _apply_factors(step, x, transpose) - _apply_factors(twirls, x, transpose)
+
+    def normal_map(v: np.ndarray) -> np.ndarray:  # B^T B v = C^-1 (M - T)^T G (M - T) C^-T v
+        return _on_sites(inv, shifted(_on_sites(gram, shifted(_on_sites(inv.T, v))), True))
+
+    basis: list[np.ndarray] = []
+    alphas: list[float] = []
+    betas: list[float] = []
+    w = np.random.default_rng(0).standard_normal(1 << n)
+    for _ in range(w.size):
+        basis.append(w / np.linalg.norm(w))
+        w = normal_map(basis[-1])
+        alphas.append(float(basis[-1] @ w))
+        q = np.array(basis)
+        for _ in range(2):  # full reorthogonalization, twice
+            w -= q.T @ (q @ w)
+        norm = float(np.linalg.norm(w))
+        values, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        theta, resid = float(values[-1]), norm * abs(float(vectors[-1, -1]))
+        if resid <= _LANCZOS_TOL:
+            break
+        betas.append(norm)
+    _log.debug("spectral gap: %d Lanczos iterations, Ritz residual %.3g, fixed-space dimension "
+               "%d used, %d predicted by connected_components", len(alphas), resid,
+               fixed.fixed_dimension, connected_components(spec.structure).fixed_dimension)
+    return float(min(1.0, max(0.0, 1.0 - math.sqrt(max(theta, 0.0)))))

@@ -264,7 +264,7 @@ def sweep_gap_trend():
     gaps = {}
     for n in range(4, 11):
         spec = EnsembleSpec(path_structure(n), CorrelatedSweep(tuple(range(n - 1))), 2)
-        gaps[n] = spectral_gap_swap(build_swap_matrix(spec), 2)
+        gaps[n] = spectral_gap_swap(spec)
     return gaps
 
 

@@ -185,7 +185,7 @@ class TestCorrelatedBound:
         n, d = 6, 2
         st = path_structure(n)
         spec = EnsembleSpec(st, CorrelatedSweep(tuple(range(n - 1))), d)
-        gap = spectral_gap_swap(build_swap_matrix(spec), d)
+        gap = spectral_gap_swap(spec)
         initial = Region.of([0, 1, 2], n)
         p_inf = purity_infinity(initial, st, d)
         eps = 1e-6

@@ -161,6 +161,17 @@ class TestGap:
         }
         assert run_cli(tmp_path, "gap", cfg) == 2
 
+    def test_empty_family_rejected(self, tmp_path, capsys):
+        out = tmp_path / "gap.csv"
+        cfg = {
+            "model": {"n": 4, "d": 2, "family": {"kind": "path", "sizes": []}},
+            "policy": {"kind": "uncorrelated"},
+            "output": {"path": str(out)},
+        }
+        assert run_cli(tmp_path, "gap", cfg) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_cap_exceeded(self, tmp_path):
         out = tmp_path / "gap.csv"
         cfg = {

@@ -1,0 +1,133 @@
+"""The matrix-free spectral gap, pinned to the dense two-SVD computation it replaced.
+
+``dense_gap_reference`` is that computation as it stood: the eigenvalue-1
+space from an SVD of M - I, the dense Kronecker power of the one-site Gram
+Cholesky factor and its inverse, and the largest singular value of the
+projected, conjugated step matrix from a second SVD.
+"""
+import logging
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from lrqc import (CapExceeded, CorrelatedSweep, EnsembleSpec, LocalStructure, Region,
+                  Uncorrelated, build_swap_matrix, complete_structure, connected_components,
+                  fixed_space_dimension, path_structure, spectral_gap_swap)
+from lrqc.swapcore import MATRIX_BYTE_BUDGET, RANK_TOL, _matrix_bytes
+
+
+def dense_gap_reference(matrix, d, tol=RANK_TOL):
+    dim = matrix.shape[0]
+    n = dim.bit_length() - 1
+    _, s, vh = np.linalg.svd(matrix - np.eye(dim))
+    fixed = vh[dim - int(np.sum(s <= tol)):].T
+    site = np.linalg.cholesky(np.array([[1.0, 1.0 / d], [1.0 / d, 1.0]]))
+    chol = np.array([[1.0]])
+    for _ in range(n):
+        chol = np.kron(chol, site)
+    primed = chol.T @ matrix @ np.linalg.inv(chol).T
+    q, _ = np.linalg.qr(chol.T @ fixed)
+    proj = np.eye(dim) - q @ q.T
+    sigma = np.linalg.svd(proj @ primed @ proj, compute_uv=False)[0]
+    return float(min(1.0, max(0.0, 1.0 - sigma)))
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def logged_gap(spec):
+    """The gap and the arguments of the one DEBUG record the solver logs for it."""
+    logger, handler = logging.getLogger("lrqc"), _Records()
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        gap = spectral_gap_swap(spec)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    (record,) = handler.records
+    return gap, record.args  # iterations, residual, fixed dimension used, predicted
+
+
+@st.composite
+def ensembles(draw):
+    n = draw(st.integers(2, 7))
+    sites = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True)
+    regions = tuple(Region.of(s, n) for s in draw(st.lists(sites, min_size=1, max_size=6)))
+    raw = draw(st.lists(st.integers(0, 3), min_size=len(regions), max_size=len(regions))
+               .filter(any))
+    weights = tuple(w / sum(raw) for w in raw)
+    if draw(st.booleans()):
+        policy = Uncorrelated()
+    else:
+        policy = CorrelatedSweep(tuple(draw(st.permutations(range(len(regions))))))
+    return EnsembleSpec(LocalStructure(n, regions, weights), policy, draw(st.sampled_from([2, 3])))
+
+
+def _spec(n, regions, weights=None, policy=Uncorrelated(), d=2):
+    st_ = LocalStructure(n, tuple(Region.of(r, n) for r in regions), weights)
+    return EnsembleSpec(st_, policy, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ensembles())
+@example(_spec(7, [[0, 1, 2], [2, 3], [5, 6]], (0.5, 0.0, 0.5)))  # zero weight, uncovered site
+@example(_spec(7, [[0, 1, 2], [2, 3], [5, 6]], policy=CorrelatedSweep((2, 0, 1)), d=3))
+@example(_spec(5, [[0], [3]]))  # nothing straddled: the whole space is fixed
+@example(_spec(6, [[0, 1], [1, 2], [3, 4], [4, 5]], policy=CorrelatedSweep((3, 1, 0, 2))))
+def test_gap_matches_dense_reference(spec):
+    matrix = build_swap_matrix(spec)
+    gap, (iterations, residual, used, predicted) = logged_gap(spec)
+    assert gap == pytest.approx(dense_gap_reference(matrix, spec.d), rel=1e-10, abs=1e-15)
+    assert used == fixed_space_dimension(matrix)
+    decomposition = connected_components(spec.structure)
+    assert predicted == 2 ** len(decomposition.components) * 2 ** decomposition.residual.size
+    assert 0 <= iterations < matrix.shape[0]
+    assert residual <= 1e-13
+
+
+def test_gap_logs_nothing_by_default(capsys):
+    spectral_gap_swap(EnsembleSpec(path_structure(5), Uncorrelated(), 2))
+    assert capsys.readouterr() == ("", "")
+
+
+class TestMatrixByteBudget:
+    def test_fourteen_site_sweep_refused_before_allocating(self):
+        spec = EnsembleSpec(path_structure(14), CorrelatedSweep(tuple(range(13))), 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded) as info:
+                build_swap_matrix(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert str(_matrix_bytes(spec)) in str(info.value)
+        assert str(MATRIX_BYTE_BUDGET) in str(info.value)
+
+    @pytest.mark.parametrize("n, sweep", [(14, False), (13, True)])
+    def test_largest_admitted_builds(self, n, sweep):
+        for structure in (path_structure(n), complete_structure(n)):
+            m = len(structure.regions)
+            policy = CorrelatedSweep(tuple(range(m))) if sweep else Uncorrelated()
+            assert _matrix_bytes(EnsembleSpec(structure, policy, 2)) <= MATRIX_BYTE_BUDGET
+
+    def test_count_covers_the_measured_peak(self):
+        for policy in (Uncorrelated(), CorrelatedSweep((2, 0, 1, 3, 4, 5))):
+            spec = EnsembleSpec(path_structure(7), policy, 2)
+            tracemalloc.start()
+            try:
+                build_swap_matrix(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= _matrix_bytes(spec)

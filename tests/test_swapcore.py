@@ -388,18 +388,18 @@ class TestFixedSpaceAndGap:
     def test_single_projection_gap_one(self):
         n = 4
         spec = EnsembleSpec(LocalStructure(n, (Region.of([1, 2], n),)), Uncorrelated(), 2)
-        assert spectral_gap_swap(build_swap_matrix(spec), 2) == pytest.approx(1.0, abs=1e-10)
+        assert spectral_gap_swap(spec) == pytest.approx(1.0, abs=1e-10)
 
     def test_path_gap_matches_chain_model(self):
         spec = EnsembleSpec(path_structure(3), Uncorrelated(), 2)
-        assert spectral_gap_swap(build_swap_matrix(spec), 2) == pytest.approx(0.3, abs=1e-10)
+        assert spectral_gap_swap(spec) == pytest.approx(0.3, abs=1e-10)
 
     def test_sweep_gap_approaches_edge_limit(self):
         gaps = []
         for n in (4, 6, 8):
             st = path_structure(n)
             spec = EnsembleSpec(st, CorrelatedSweep(tuple(range(n - 1))), 2)
-            gaps.append(spectral_gap_swap(build_swap_matrix(spec), 2))
+            gaps.append(spectral_gap_swap(spec))
         assert all(g > 0.36 for g in gaps)
         assert gaps[0] > gaps[1] > gaps[2]
         assert abs(gaps[-1] - 0.36) < 0.08
