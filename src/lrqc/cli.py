@@ -36,6 +36,9 @@ from .swapcore import (CorrelatedSweep, EnsembleSpec, LocalStructure, Uncorrelat
                        spectral_gap_swap)
 
 FIXCHECK_MAX_SITES = 10
+# a Monte Carlo mean this close to P_k (say a purity that stays 1) is exact up to
+# rounding, so its z-score is 0, not rounding noise over a rounding-sized stderr
+Z_EXACT_TOL = 1e-12
 
 
 @dataclass
@@ -210,8 +213,10 @@ def cmd_oracle(cfg: ExperimentConfig) -> ResultTable:
     mc_traj = mc_purity_trajectory(spec, initial, k_max, oracle_cfg)
     zs = []
     for est, p_k in zip(mc_traj, swap_traj):
-        if est.stderr == 0.0:
-            zs.append(0.0 if est.mean == p_k else math.inf)
+        if abs(est.mean - p_k) <= Z_EXACT_TOL:
+            zs.append(0.0)
+        elif est.stderr == 0.0:
+            zs.append(math.inf)
         else:
             zs.append((est.mean - p_k) / est.stderr)
     return ResultTable({
@@ -223,45 +228,51 @@ def cmd_oracle(cfg: ExperimentConfig) -> ResultTable:
     })
 
 
-def _bound_row(request: dict[str, Any], cfg: ExperimentConfig) -> tuple[str, BoundReport]:
+def _boundary_report(cfg: ExperimentConfig, sites: Any) -> BoundReport:
+    structure = structure_from_model(cfg.model)
+    target = region_from_sites(sites, structure.n)
+    return BoundReport(boundary_probability(target, structure), "estimate",
+                       {"target": list(target.sites())})
+
+
+def _area_law_at_target(cfg: ExperimentConfig, sites: Any, d: int, k: int) -> BoundReport:
+    p = _boundary_report(cfg, sites).value
+    return area_law_bound(p, p, d, k)
+
+
+# request name -> (function of the config and the parameters in order, required
+# parameter names, optional parameter names, which default to None)
+_BOUNDS = {
+    "entangling_power": (lambda cfg, d: BoundReport(entangling_power(d), "estimate", {"d": d}),
+                         ("d",), ()),
+    "swap_constant": (lambda cfg, d: BoundReport(swap_constant(d), "estimate", {"d": d}),
+                      ("d",), ()),
+    "boundary_probability": (_boundary_report, ("target",), ()),
+    "area_law": (lambda cfg, *args: area_law_bound(*args), ("pX", "pXtilde", "d", "k"), ()),
+    "first_moment_convergence": (lambda cfg, *args: first_moment_convergence_bound(*args),
+                                 ("omega_norm", "a_norm", "epsilon", "q_min", "num_regions"), ()),
+    "correlated_convergence": (lambda cfg, *args: correlated_convergence_bound(*args),
+                               ("gap", "n", "epsilon"), ()),
+    "t_design": (lambda cfg, *args: t_design_delta(*args),
+                 ("region_size", "alpha", "t", "d"), ("epsilon",)),
+}
+# the second form of area_law, chosen when the request names a target region
+_AREA_LAW_AT_TARGET = (_area_law_at_target, ("target", "d", "k"), ())
+
+
+def _bound_row(request: Any, cfg: ExperimentConfig) -> tuple[str, BoundReport]:
+    if not isinstance(request, dict):
+        raise ValidationError(f"a bound request must be an object, got {request!r}")
     request = dict(request)
     name = request.pop("name", None)
-    if name == "entangling_power":
-        d = request.pop("d")
-        report = BoundReport(entangling_power(d), "estimate", {"d": d})
-    elif name == "swap_constant":
-        d = request.pop("d")
-        report = BoundReport(swap_constant(d), "estimate", {"d": d})
-    elif name == "boundary_probability":
-        structure = structure_from_model(cfg.model)
-        target = region_from_sites(request.pop("target"), structure.n)
-        report = BoundReport(boundary_probability(target, structure), "estimate",
-                             {"target": list(target.sites())})
-    elif name == "area_law":
-        if "target" in request:
-            structure = structure_from_model(cfg.model)
-            p_a = boundary_probability(region_from_sites(request.pop("target"), structure.n),
-                                       structure)
-            report = area_law_bound(p_a, p_a, request.pop("d"), request.pop("k"))
-        else:
-            report = area_law_bound(request.pop("pX"), request.pop("pXtilde"),
-                                    request.pop("d"), request.pop("k"))
-    elif name == "first_moment_convergence":
-        report = first_moment_convergence_bound(
-            request.pop("omega_norm"), request.pop("a_norm"), request.pop("epsilon"),
-            request.pop("q_min"), request.pop("num_regions"))
-    elif name == "correlated_convergence":
-        report = correlated_convergence_bound(request.pop("gap"), request.pop("n"),
-                                              request.pop("epsilon"))
-    elif name == "t_design":
-        report = t_design_delta(request.pop("region_size"), request.pop("alpha"),
-                                request.pop("t"), request.pop("d"),
-                                request.pop("epsilon", None))
-    else:
+    if not isinstance(name, str) or name not in _BOUNDS:
         raise ValidationError(f"unknown bound request {name!r}")
+    at_target = name == "area_law" and "target" in request
+    function, required, optional = _AREA_LAW_AT_TARGET if at_target else _BOUNDS[name]
+    args = [request.pop(key) for key in required] + [request.pop(key, None) for key in optional]
     if request:
         raise ValidationError(f"unknown keys in bound request {name!r}: {sorted(request)}")
-    return name, report
+    return name, function(cfg, *args)
 
 
 def cmd_bounds(cfg: ExperimentConfig) -> ResultTable:

@@ -72,6 +72,11 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+def _is_int(value: Any) -> bool:
+    """An integer in the document; JSON true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(section: dict[str, Any], key: str, what: str) -> Any:
     if key not in section:
         raise ValidationError(f"{what} requires '{key}'")
@@ -81,13 +86,13 @@ def _require(section: dict[str, Any], key: str, what: str) -> Any:
 def model_shape(model: dict[str, Any]) -> tuple[int, int]:
     n = _require(model, "n", "model")
     d = _require(model, "d", "model")
-    if not isinstance(n, int) or not isinstance(d, int):
+    if not _is_int(n) or not _is_int(d):
         raise ValidationError("model n and d must be integers")
     return n, d
 
 
 def region_from_sites(sites: Any, n: int) -> Region:
-    if not isinstance(sites, (list, tuple)) or not all(isinstance(s, int) for s in sites):
+    if not isinstance(sites, (list, tuple)) or not all(_is_int(s) for s in sites):
         raise ValidationError(f"a region must be a list of site indices, got {sites!r}")
     try:
         return Region.of(sites, n)
@@ -115,7 +120,7 @@ def family_structures(model: dict[str, Any]) -> list[tuple[int, LocalStructure]]
     family = _require(model, "family", "gap model")
     kind = _require(family, "kind", "model.family")
     sizes = _require(family, "sizes", "model.family")
-    if not isinstance(sizes, list) or not sizes or not all(isinstance(s, int) for s in sizes):
+    if not isinstance(sizes, list) or not sizes or not all(_is_int(s) for s in sizes):
         raise ValidationError("model.family.sizes must be a nonempty list of integers")
     builders = {"path": path_structure, "complete": complete_structure}
     if kind not in builders:
@@ -137,7 +142,7 @@ def resolve_order(order: Any, num_regions: int) -> tuple[int, ...]:
         return tuple(range(num_regions))
     if order == "reversed":
         return tuple(range(num_regions - 1, -1, -1))
-    if isinstance(order, list) and all(isinstance(i, int) for i in order):
+    if isinstance(order, list) and all(_is_int(i) for i in order):
         return tuple(order)
     raise ValidationError(f"policy.order must be a permutation or one of {_ORDER_NAMES}, got {order!r}")
 
@@ -171,6 +176,6 @@ def run_int(cfg: ExperimentConfig, key: str, default: int | None = None) -> int:
     value = cfg.run.get(key, default)
     if value is None:
         raise ValidationError(f"run.{key} is required for this command")
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValidationError(f"run.{key} must be an integer, got {value!r}")
     return value

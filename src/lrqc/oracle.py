@@ -8,21 +8,22 @@ Conventions.  Basis index x encodes site s in digit (x // d^s) % d, so site 0
 is least significant.  A gate on a region addresses the region's sites in
 ascending order with the lowest site least significant.  Monte Carlo sample s
 owns the random stream seeded by (seed, 0, s) (circuit draws) or (seed, 1, s)
-(reference Haar states); within one step a sample draws its region first and
-its gate Gaussians second, so trajectories of different lengths share their
-common prefix.
+(reference Haar states); for each gate a sample draws one uniform to pick the
+region (none under a correlated sweep) and then the gate's Gaussians, so
+trajectories of different lengths share their common prefix.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded
 from .regions import Region
-from .swapcore import CorrelatedSweep, EnsembleSpec, Markov, Uncorrelated
+from .swapcore import CorrelatedSweep, EnsembleSpec, Uncorrelated
 
 STATE_DIM_CAP = 1 << 20
 MATRIX_DIM_CAP = 1 << 10
@@ -191,8 +192,35 @@ def reduced_purity(state: DenseState, region: Region) -> float:
 # Region sequence sampling
 # ---------------------------------------------------------------------------
 
-def _pick(cum: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cum, u, side='right')), len(cum) - 1)
+def _pick(cum: list[float], u: float) -> int:
+    """First index whose cumulative weight exceeds u; the last if rounding leaves none."""
+    return min(bisect.bisect_right(cum, u), len(cum) - 1)
+
+
+def _region_draws(spec: EnsembleSpec, k: int):
+    """Gates per step, and a per-stream generator of k steps' region indices in gate order.
+
+    Uncorrelated and Markov gates draw one uniform each from the stream.  A
+    sweep draws none and runs its pass reversed: order[0]'s map acts on the
+    swap first, so its gate is applied last.
+    """
+    pol = spec.policy
+    if isinstance(pol, CorrelatedSweep):
+        gates = tuple(reversed(pol.order))
+        return len(gates), lambda stream: (r for _ in range(k) for r in gates)
+    if isinstance(pol, Uncorrelated):
+        cums = [np.cumsum(spec.step_weights(j)).tolist() for j in range(k)]
+        return 1, lambda stream: (_pick(cum, stream.random()) for cum in cums)
+    cum_init = np.cumsum(pol.initial).tolist()
+    cum_rows = [np.cumsum(row).tolist() for row in pol.matrix]
+
+    def markov(stream: np.random.Generator):
+        cum = cum_init
+        for _ in range(k):
+            r = _pick(cum, stream.random())
+            yield r
+            cum = cum_rows[r]
+    return 1, markov
 
 
 def sample_regions(spec: EnsembleSpec, k: int, stream: np.random.Generator) -> list[Region]:
@@ -203,82 +231,52 @@ def sample_regions(spec: EnsembleSpec, k: int, stream: np.random.Generator) -> l
     if k < 0:
         raise ValueError("k must be >= 0")
     regions = spec.structure.regions
-    pol = spec.policy
-    if isinstance(pol, CorrelatedSweep):
-        # swap-side composition applies order[0] to the swap first, which the
-        # circuit realizes by applying that region's gate last
-        return [regions[i] for _ in range(k) for i in reversed(pol.order)]
-    out = []
-    if isinstance(pol, Uncorrelated):
-        for j in range(k):
-            cum = np.cumsum(spec.step_weights(j))
-            out.append(regions[_pick(cum, stream.random())])
-    else:
-        cum_rows = [np.cumsum(row) for row in pol.matrix]
-        r = _pick(np.cumsum(pol.initial), stream.random()) if k else 0
-        if k:
-            out.append(regions[r])
-        for _ in range(1, k):
-            r = _pick(cum_rows[r], stream.random())
-            out.append(regions[r])
-    return out
+    _, draws = _region_draws(spec, k)
+    return [regions[r] for r in draws(stream)]
 
 
 # ---------------------------------------------------------------------------
 # Batched circuit simulation
 # ---------------------------------------------------------------------------
 
-def _simulate(spec: EnsembleSpec, k_max: int, cfg: OracleConfig,
-              consume: Callable[[int, np.ndarray, int], None]) -> None:
-    """Run all samples for k_max steps, calling consume(j, states, first_index) per step."""
+def _chunks(cfg: OracleConfig) -> Iterator[tuple[int, int]]:
+    """(lo, hi) sample ranges whose batches hold at most _CHUNK_ELEMENTS amplitudes."""
+    size = max(1, min(cfg.samples, _CHUNK_ELEMENTS // cfg.d**cfg.n))
+    for lo in range(0, cfg.samples, size):
+        yield lo, min(lo + size, cfg.samples)
+
+
+def _simulate(spec: EnsembleSpec, k_max: int,
+              cfg: OracleConfig) -> Iterator[tuple[int, np.ndarray, int]]:
+    """Run all samples for k_max steps, yielding (j, states, first_index) per chunk and step.
+
+    The yielded batch is updated in place by the next step.
+    """
     if spec.structure.n != cfg.n or spec.d != cfg.d:
         raise ValueError("ensemble shape does not match the oracle config")
     n, d = cfg.n, cfg.d
-    dim = d**n
     regions = spec.structure.regions
     site_lists = [r.sites() for r in regions]
-    pol = spec.policy
-    if isinstance(pol, Uncorrelated):
-        cums = [np.cumsum(spec.step_weights(j)) for j in range(k_max)]
-    elif isinstance(pol, Markov):
-        cum_init = np.cumsum(pol.initial)
-        cum_rows = [np.cumsum(row) for row in pol.matrix]
-    chunk = max(1, min(cfg.samples, _CHUNK_ELEMENTS // dim))
-    for lo in range(0, cfg.samples, chunk):
-        hi = min(lo + chunk, cfg.samples)
+    gate_shapes = [(2, d**r.size, d**r.size) for r in regions]
+    gates_per_step, draws = _region_draws(spec, k_max)
+    for lo, hi in _chunks(cfg):
         rngs = [np.random.default_rng((cfg.seed, 0, s)) for s in range(lo, hi)]
-        c = hi - lo
-        states = np.zeros((c, dim), dtype=complex)
+        picks = [draws(rng) for rng in rngs]
+        states = np.zeros((hi - lo, d**n), dtype=complex)
         states[:, 0] = 1.0
-        consume(0, states, lo)
-        prev = np.zeros(c, dtype=int)
+        yield 0, states, lo
         for j in range(1, k_max + 1):
-            if isinstance(pol, CorrelatedSweep):
-                for ridx in reversed(pol.order):
-                    m = d ** regions[ridx].size
-                    z = np.stack([rng.standard_normal((2, m, m)) for rng in rngs])
-                    states = _apply_gates_batch(states, site_lists[ridx],
-                                                _haar_from_gaussians(z), n, d)
-            else:
-                ridx = np.empty(c, dtype=int)
-                gauss: list[np.ndarray] = []
-                for i, rng in enumerate(rngs):
-                    u = rng.random()
-                    if isinstance(pol, Uncorrelated):
-                        r = _pick(cums[j - 1], u)
-                    elif j == 1:
-                        r = _pick(cum_init, u)
-                    else:
-                        r = _pick(cum_rows[prev[i]], u)
-                    ridx[i] = r
-                    m = d ** regions[r].size
-                    gauss.append(rng.standard_normal((2, m, m)))
-                prev = ridx
+            for _ in range(gates_per_step):
+                # streams are independent, so drawing every region before any
+                # Gaussians keeps each stream's own order
+                picked = [next(pick) for pick in picks]
+                gauss = [rng.standard_normal(gate_shapes[r]) for rng, r in zip(rngs, picked)]
+                ridx = np.array(picked)
                 for r in np.unique(ridx):
                     sel = np.flatnonzero(ridx == r)
-                    gates = _haar_from_gaussians(np.stack([gauss[i] for i in sel]))
+                    gates = _haar_from_gaussians(np.stack([gauss[i] for i in sel.tolist()]))
                     states[sel] = _apply_gates_batch(states[sel], site_lists[r], gates, n, d)
-            consume(j, states, lo)
+            yield j, states, lo
 
 
 def _estimate(values: np.ndarray) -> MomentEstimate:
@@ -299,11 +297,8 @@ def mc_purity_trajectory(spec: EnsembleSpec, initial_region: Region, k_max: int,
         raise ValueError("k_max must be >= 0")
     sites = initial_region.sites()
     values = np.empty((k_max + 1, cfg.samples))
-
-    def consume(j: int, states: np.ndarray, lo: int) -> None:
+    for j, states, lo in _simulate(spec, k_max, cfg):
         values[j, lo:lo + states.shape[0]] = _purity_batch(states, sites, cfg.n, cfg.d)
-
-    _simulate(spec, k_max, cfg, consume)
     return [_estimate(values[j]) for j in range(k_max + 1)]
 
 
@@ -323,15 +318,11 @@ def mc_trace_distance(spec: EnsembleSpec, region: Region, k: int,
         raise CapExceeded(f"reduced dimension {dm} exceeds the eigensolver cap {MATRIX_DIM_CAP}")
     sites = region.sites()
     values = np.empty(cfg.samples)
-
-    def consume(j: int, states: np.ndarray, lo: int) -> None:
-        if j != k:
-            return
-        rho = _reduced_density_batch(states, sites, cfg.n, cfg.d)
-        rho -= np.eye(dm) / dm
-        values[lo:lo + states.shape[0]] = np.abs(np.linalg.eigvalsh(rho)).sum(axis=1)
-
-    _simulate(spec, k, cfg, consume)
+    for j, states, lo in _simulate(spec, k, cfg):
+        if j == k:
+            rho = _reduced_density_batch(states, sites, cfg.n, cfg.d)
+            rho -= np.eye(dm) / dm
+            values[lo:lo + states.shape[0]] = np.abs(np.linalg.eigvalsh(rho)).sum(axis=1)
     return _estimate(values)
 
 
@@ -344,9 +335,15 @@ def _kron_power_batch(rho: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def _half_split_error(total_first: np.ndarray, total_second: np.ndarray,
-                      n_first: int, n_second: int) -> float:
-    return trace_norm(total_first / n_first - total_second / n_second) / 2.0
+def _haar_batches(cfg: OracleConfig) -> Iterator[tuple[np.ndarray, int]]:
+    """(states, first_index) chunks of global Haar states, sample s from stream (seed, 1, s)."""
+    dim = cfg.d**cfg.n
+    for lo, hi in _chunks(cfg):
+        z = np.stack([np.random.default_rng((cfg.seed, 1, s)).standard_normal((2, dim))
+                      for s in range(lo, hi)])
+        states = z[:, 0, :] + 1j * z[:, 1, :]
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        yield states, lo
 
 
 def mc_design_distance(spec: EnsembleSpec, region: Region, k: int, t: int,
@@ -362,38 +359,22 @@ def mc_design_distance(spec: EnsembleSpec, region: Region, k: int, t: int,
     if dm**t > MATRIX_DIM_CAP:
         raise CapExceeded(f"moment dimension {dm}^{t} exceeds the cap {MATRIX_DIM_CAP}")
     sites = region.sites()
-    dmt = dm**t
     n_first = (cfg.samples + 1) // 2
-    halves = [np.zeros((dmt, dmt), dtype=complex) for _ in range(2)]
 
-    def consume(j: int, states: np.ndarray, lo: int) -> None:
-        if j != k:
-            return
-        mom = _kron_power_batch(_reduced_density_batch(states, sites, cfg.n, cfg.d), t)
-        cut = min(max(n_first - lo, 0), states.shape[0])
-        halves[0] += mom[:cut].sum(axis=0)
-        halves[1] += mom[cut:].sum(axis=0)
+    def average(batches) -> tuple[np.ndarray, float]:
+        """Mean t-th moment over all samples, and its half-sample split error."""
+        halves = [np.zeros((dm**t, dm**t), dtype=complex) for _ in range(2)]
+        for states, lo in batches:
+            mom = _kron_power_batch(_reduced_density_batch(states, sites, cfg.n, cfg.d), t)
+            cut = min(max(n_first - lo, 0), states.shape[0])
+            halves[0] += mom[:cut].sum(axis=0)
+            halves[1] += mom[cut:].sum(axis=0)
+        split = trace_norm(halves[0] / n_first - halves[1] / (cfg.samples - n_first)) / 2.0
+        return (halves[0] + halves[1]) / cfg.samples, split
 
-    _simulate(spec, k, cfg, consume)
-    circ_mean = (halves[0] + halves[1]) / cfg.samples
-    circ_err = _half_split_error(halves[0], halves[1], n_first, cfg.samples - n_first)
-
-    dim = cfg.d**cfg.n
-    haar_halves = [np.zeros((dmt, dmt), dtype=complex) for _ in range(2)]
-    chunk = max(1, min(cfg.samples, _CHUNK_ELEMENTS // dim))
-    for lo in range(0, cfg.samples, chunk):
-        hi = min(lo + chunk, cfg.samples)
-        z = np.stack([np.random.default_rng((cfg.seed, 1, s)).standard_normal((2, dim))
-                      for s in range(lo, hi)])
-        states = z[:, 0, :] + 1j * z[:, 1, :]
-        states /= np.linalg.norm(states, axis=1, keepdims=True)
-        mom = _kron_power_batch(_reduced_density_batch(states, sites, cfg.n, cfg.d), t)
-        cut = min(max(n_first - lo, 0), hi - lo)
-        haar_halves[0] += mom[:cut].sum(axis=0)
-        haar_halves[1] += mom[cut:].sum(axis=0)
-    haar_mean = (haar_halves[0] + haar_halves[1]) / cfg.samples
-    haar_err = _half_split_error(haar_halves[0], haar_halves[1], n_first, cfg.samples - n_first)
-
+    circ_mean, circ_err = average((states, lo) for j, states, lo in _simulate(spec, k, cfg)
+                                  if j == k)
+    haar_mean, haar_err = average(_haar_batches(cfg))
     return DesignDistance(trace_norm(circ_mean - haar_mean), circ_err, haar_err, cfg.samples)
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lrqc import PathParams, spectral_gap_1d
+from lrqc import PathParams, __version__, spectral_gap_1d
 from lrqc.cli import main, read_metadata_config
 
 
@@ -218,6 +218,21 @@ class TestOracleCmd:
         assert run_cli(tmp_path, "oracle", cfg, extra=("--samples", "50")) == 0
         assert read_metadata_config(str(out))["run"]["samples"] == 50
 
+    @pytest.mark.parametrize("regions, initial", [
+        ([[0, 1], [1, 2], [2, 3]], [0, 1, 2, 3]),
+        ([[0, 1], [2, 3]], [0, 1]),
+    ])
+    def test_exact_purity_scores_zero(self, tmp_path, regions, initial):
+        # P_k stays 1, so the sampled purities differ from it by rounding only
+        out = tmp_path / "oracle.csv"
+        cfg = base_config(str(out), run={"initial_region": initial, "k_max": 12, "seed": 3,
+                                         "samples": 1000})
+        cfg["model"] = {"n": 4, "d": 2, "regions": regions}
+        assert run_cli(tmp_path, "oracle", cfg) == 0
+        _, rows = read_csv(out)
+        assert all(float(row[1]) == 1.0 for row in rows)
+        assert [float(row[4]) for row in rows] == [0.0] * 13
+
     def test_state_cap(self, tmp_path):
         out = tmp_path / "oracle.csv"
         cfg = {
@@ -245,6 +260,62 @@ class TestBoundsCmd:
         assert float(rows[1][1]) == pytest.approx(0.95, abs=1e-12)
         assert rows[1][2] == "upper-bound"
         assert json.loads(rows[2][3])["t"] == 2
+
+    ALL_FORMS = [
+        {"name": "entangling_power", "d": 3},
+        {"name": "swap_constant", "d": 2},
+        {"name": "boundary_probability", "target": [1, 2]},
+        {"name": "area_law", "target": [0, 1], "d": 2, "k": 3},
+        {"name": "area_law", "pX": 0.5, "pXtilde": 0.25, "d": 3, "k": 4},
+        {"name": "first_moment_convergence", "omega_norm": 2.0, "a_norm": 1.5,
+         "epsilon": 0.01, "q_min": 0.25, "num_regions": 4},
+        {"name": "correlated_convergence", "gap": 0.3, "n": 6, "epsilon": 0.001},
+        {"name": "t_design", "region_size": 2, "alpha": 0.5, "t": 2, "d": 2},
+        {"name": "t_design", "region_size": 1, "alpha": 0.25, "t": 3, "d": 3, "epsilon": 0.1},
+    ]
+    ALL_FORMS_TABLE = (
+        'name,value,kind,inputs\n'
+        'entangling_power,0.40000000000000002,estimate,"{""d"":3}"\n'
+        'swap_constant,0.40000000000000002,estimate,"{""d"":2}"\n'
+        'boundary_probability,0.5,estimate,"{""target"":[1,2]}"\n'
+        'area_law,0.85737499999999989,upper-bound,'
+        '"{""d"":2,""exp_bound"":0.8607079764250578,""k"":3,""pX"":0.25,""pXtilde"":0.25}"\n'
+        'area_law,1.2155062500000002,upper-bound,'
+        '"{""d"":3,""exp_bound"":2.3789677299066345,""k"":4,""pX"":0.5,""pXtilde"":0.25}"\n'
+        'first_moment_convergence,27.054949757568242,upper-bound,'
+        '"{""a_norm"":1.5,""epsilon"":0.01,""num_regions"":4,""omega_norm"":2.0,""q_min"":0.25}"\n'
+        'correlated_convergence,25.197163337062843,upper-bound,'
+        '"{""epsilon"":0.001,""gap"":0.3,""n"":6}"\n'
+        't_design,2.4142135623730949,upper-bound,'
+        '"{""alpha"":0.5,""d"":2,""epsilon"":0.125,""region_size"":2,""t"":2}"\n'
+        't_design,3.2929208787664588,upper-bound,'
+        '"{""alpha"":0.25,""d"":3,""epsilon"":0.1,""region_size"":1,""t"":3}"\n'
+    )
+
+    def test_every_request_form(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = base_config("bounds.csv")
+        cfg["run"] = {"bounds": self.ALL_FORMS}
+        assert run_cli(tmp_path, "bounds", cfg) == 0
+        header = "".join(f"# {key}={json.dumps(value, sort_keys=True, separators=(',', ':'))}\n"
+                         for key, value in (("command", "bounds"), ("config", cfg),
+                                            ("version", __version__)))
+        assert (tmp_path / "bounds.csv").read_text() == header + self.ALL_FORMS_TABLE
+
+    @pytest.mark.parametrize("request_", [
+        {"name": "correlated_convergence", "gap": 0.3, "n": 6},
+        {"name": "swap_constant", "d": 2, "k": 1},
+        {"name": "area_law", "target": [0, 1], "pX": 0.5, "d": 2, "k": 3},
+        {"name": ["area_law"], "pX": 0.5, "pXtilde": 0.25, "d": 2, "k": 3},
+        5,
+    ])
+    def test_malformed_request_rejected(self, tmp_path, capsys, request_):
+        out = tmp_path / "bounds.csv"
+        cfg = base_config(str(out))
+        cfg["run"]["bounds"] = [request_]
+        assert run_cli(tmp_path, "bounds", cfg) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_unknown_bound_rejected(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -309,3 +380,20 @@ class TestValidation:
         cfg = base_config("x.csv")
         del cfg["output"]["path"]
         assert run_cli(tmp_path, "evolve", cfg) == 2
+
+    @pytest.mark.parametrize("command, section, change, message", [
+        ("evolve", "model", {"regions": [[0, True], [1, 2], [2, 3], [3, 4]]}, "site indices"),
+        ("evolve", "run", {"initial_region": [True]}, "site indices"),
+        ("evolve", "model", {"n": True, "regions": [[0]]}, "integers"),
+        ("evolve", "policy", {"kind": "sweep", "order": [True, 0, 2, 3]}, "permutation"),
+        ("gap", "model", {"family": {"kind": "complete", "sizes": [3, True]}}, "sizes"),
+    ])
+    def test_booleans_are_not_integers(self, tmp_path, capsys, command, section, change, message):
+        out = tmp_path / "x.csv"
+        cfg = base_config(str(out))
+        cfg[section].update(change)
+        if command == "gap":
+            del cfg["model"]["regions"]
+        assert run_cli(tmp_path, command, cfg) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

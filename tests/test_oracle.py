@@ -5,7 +5,7 @@ import pytest
 
 from lrqc import (CapExceeded, CorrelatedSweep, DenseState, EnsembleSpec,
                   LocalStructure, Markov, OracleConfig, Region, SwapVector,
-                  Uncorrelated, apply_gate, apply_local, dense_swap,
+                  Uncorrelated, apply_gate, apply_local, complete_structure, dense_swap,
                   exact_first_moment_map, exact_second_moment_projection,
                   first_moment_convergence_bound, haar_unitary,
                   mc_average_purity, mc_design_distance, mc_purity_trajectory,
@@ -382,3 +382,211 @@ class TestTraceNorm:
     def test_known_value(self):
         h = np.diag([0.75, -0.25])
         assert trace_norm(h) == pytest.approx(1.0, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The Monte Carlo engine pinned to the two separate policy draws it replaced
+# ---------------------------------------------------------------------------
+
+def _pick(cum, u):
+    """The former region pick: a searchsorted on the cumulative weights."""
+    return min(int(np.searchsorted(cum, u, side='right')), len(cum) - 1)
+
+
+def _reference_sample_regions(spec, k, stream):
+    """The former sample_regions: its own policy if-chain, one uniform per draw."""
+    regions = spec.structure.regions
+    pol = spec.policy
+    if isinstance(pol, CorrelatedSweep):
+        return [regions[i] for _ in range(k) for i in reversed(pol.order)]
+    out = []
+    if isinstance(pol, Uncorrelated):
+        for j in range(k):
+            cum = np.cumsum(spec.step_weights(j))
+            out.append(regions[_pick(cum, stream.random())])
+    else:
+        cum_rows = [np.cumsum(row) for row in pol.matrix]
+        r = _pick(np.cumsum(pol.initial), stream.random()) if k else 0
+        if k:
+            out.append(regions[r])
+        for _ in range(1, k):
+            r = _pick(cum_rows[r], stream.random())
+            out.append(regions[r])
+    return out
+
+
+def _reference_simulate(spec, k_max, cfg, consume):
+    """The former _simulate: a second policy if-chain and a separate sweep branch."""
+    from lrqc import oracle
+    n, d = cfg.n, cfg.d
+    dim = d**n
+    regions = spec.structure.regions
+    site_lists = [r.sites() for r in regions]
+    pol = spec.policy
+    if isinstance(pol, Uncorrelated):
+        cums = [np.cumsum(spec.step_weights(j)) for j in range(k_max)]
+    elif isinstance(pol, Markov):
+        cum_init = np.cumsum(pol.initial)
+        cum_rows = [np.cumsum(row) for row in pol.matrix]
+    chunk = max(1, min(cfg.samples, oracle._CHUNK_ELEMENTS // dim))
+    for lo in range(0, cfg.samples, chunk):
+        hi = min(lo + chunk, cfg.samples)
+        rngs = [np.random.default_rng((cfg.seed, 0, s)) for s in range(lo, hi)]
+        c = hi - lo
+        states = np.zeros((c, dim), dtype=complex)
+        states[:, 0] = 1.0
+        consume(0, states, lo)
+        prev = np.zeros(c, dtype=int)
+        for j in range(1, k_max + 1):
+            if isinstance(pol, CorrelatedSweep):
+                for ridx in reversed(pol.order):
+                    m = d ** regions[ridx].size
+                    z = np.stack([rng.standard_normal((2, m, m)) for rng in rngs])
+                    states = oracle._apply_gates_batch(states, site_lists[ridx],
+                                                       oracle._haar_from_gaussians(z), n, d)
+            else:
+                ridx = np.empty(c, dtype=int)
+                gauss = []
+                for i, rng in enumerate(rngs):
+                    u = rng.random()
+                    if isinstance(pol, Uncorrelated):
+                        r = _pick(cums[j - 1], u)
+                    elif j == 1:
+                        r = _pick(cum_init, u)
+                    else:
+                        r = _pick(cum_rows[prev[i]], u)
+                    ridx[i] = r
+                    m = d ** regions[r].size
+                    gauss.append(rng.standard_normal((2, m, m)))
+                prev = ridx
+                for r in np.unique(ridx):
+                    sel = np.flatnonzero(ridx == r)
+                    gates = oracle._haar_from_gaussians(np.stack([gauss[i] for i in sel]))
+                    states[sel] = oracle._apply_gates_batch(states[sel], site_lists[r], gates, n, d)
+            consume(j, states, lo)
+
+
+def _reference_trace_distance(spec, region, k, cfg):
+    from lrqc import oracle
+    dm = cfg.d**region.size
+    values = np.empty(cfg.samples)
+
+    def consume(j, states, lo):
+        if j != k:
+            return
+        rho = oracle._reduced_density_batch(states, region.sites(), cfg.n, cfg.d)
+        rho -= np.eye(dm) / dm
+        values[lo:lo + states.shape[0]] = np.abs(np.linalg.eigvalsh(rho)).sum(axis=1)
+
+    _reference_simulate(spec, k, cfg, consume)
+    return oracle._estimate(values)
+
+
+def _reference_design_distance(spec, region, k, t, cfg):
+    """The former mc_design_distance: its own Haar chunk loop and half-split sums."""
+    from lrqc import oracle
+    sites = region.sites()
+    dmt = (cfg.d**region.size) ** t
+    n_first = (cfg.samples + 1) // 2
+
+    def split(halves):
+        return trace_norm(halves[0] / n_first - halves[1] / (cfg.samples - n_first)) / 2.0
+
+    halves = [np.zeros((dmt, dmt), dtype=complex) for _ in range(2)]
+
+    def consume(j, states, lo):
+        if j != k:
+            return
+        mom = oracle._kron_power_batch(
+            oracle._reduced_density_batch(states, sites, cfg.n, cfg.d), t)
+        cut = min(max(n_first - lo, 0), states.shape[0])
+        halves[0] += mom[:cut].sum(axis=0)
+        halves[1] += mom[cut:].sum(axis=0)
+
+    _reference_simulate(spec, k, cfg, consume)
+    circ_mean = (halves[0] + halves[1]) / cfg.samples
+    dim = cfg.d**cfg.n
+    haar_halves = [np.zeros((dmt, dmt), dtype=complex) for _ in range(2)]
+    chunk = max(1, min(cfg.samples, oracle._CHUNK_ELEMENTS // dim))
+    for lo in range(0, cfg.samples, chunk):
+        hi = min(lo + chunk, cfg.samples)
+        z = np.stack([np.random.default_rng((cfg.seed, 1, s)).standard_normal((2, dim))
+                      for s in range(lo, hi)])
+        states = z[:, 0, :] + 1j * z[:, 1, :]
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        mom = oracle._kron_power_batch(
+            oracle._reduced_density_batch(states, sites, cfg.n, cfg.d), t)
+        cut = min(max(n_first - lo, 0), hi - lo)
+        haar_halves[0] += mom[:cut].sum(axis=0)
+        haar_halves[1] += mom[cut:].sum(axis=0)
+    haar_mean = (haar_halves[0] + haar_halves[1]) / cfg.samples
+    return oracle.DesignDistance(trace_norm(circ_mean - haar_mean), split(halves),
+                                 split(haar_halves), cfg.samples)
+
+
+def _engine_specs():
+    path3 = path_structure(3)
+    step_weights = ((0.2, 0.8), (1.0, 0.0), (0.5, 0.5), (0.0, 1.0))
+    return {
+        "uncorrelated-d2": EnsembleSpec(path3, Uncorrelated(), 2),
+        "uncorrelated-d3": EnsembleSpec(path3, Uncorrelated(), 3),
+        "step-weights-d2": EnsembleSpec(path3, Uncorrelated(step_weights), 2),
+        "step-weights-d3": EnsembleSpec(path3, Uncorrelated(step_weights), 3),
+        "markov": EnsembleSpec(path_structure(4), Markov(
+            (0.5, 0.25, 0.25), ((0.1, 0.9, 0.0), (0.3, 0.3, 0.4), (0.0, 0.6, 0.4))), 2),
+        "sweep-complete": EnsembleSpec(complete_structure(4),
+                                       CorrelatedSweep((3, 0, 5, 1, 4, 2)), 2),
+    }
+
+
+class TestEnginePinnedToReference:
+    """Bit-for-bit equality with the former draw code, across forced chunk boundaries."""
+
+    k = 3
+    samples = 11  # chunks of 4, 4 and 3; the design distance's half split falls mid-chunk
+
+    @pytest.fixture(params=sorted(_engine_specs()))
+    def case(self, request, monkeypatch):
+        spec = _engine_specs()[request.param]
+        n, d = spec.structure.n, spec.d
+        monkeypatch.setattr("lrqc.oracle._CHUNK_ELEMENTS", 4 * d**n)
+        return spec, OracleConfig(seed=31, samples=self.samples, d=d, n=n)
+
+    def test_pick_on_ties_and_rounding(self):
+        from lrqc.oracle import _pick as pick
+        cum = np.cumsum([0.0, 0.25, 0.0, 0.5, 0.25 - 1e-12])  # ends short of 1
+        for u in [0.0, 0.1, 0.25, 0.5, 0.75, cum[-1], 0.9999999999999999]:
+            assert pick(cum.tolist(), u) == _pick(cum, u)
+
+    def test_state_batches(self, case):
+        from lrqc.oracle import _simulate
+        spec, cfg = case
+        want = []
+        _reference_simulate(spec, self.k, cfg,
+                            lambda j, states, lo: want.append((j, lo, states.copy())))
+        got = [(j, lo, states.copy()) for j, states, lo in _simulate(spec, self.k, cfg)]
+        assert [(j, lo) for j, lo, _ in got] == [(j, lo) for j, lo, _ in want]
+        assert len({lo for _, lo, _ in got}) == 3
+        for (_, _, a), (_, _, b) in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_region_sequences(self, case):
+        spec, _ = case
+        for seed in range(5):
+            for k in (0, 1, self.k):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert sample_regions(spec, k, a) == _reference_sample_regions(spec, k, b)
+                assert a.random() == b.random()  # the same number of uniforms was drawn
+
+    def test_trace_distance(self, case):
+        spec, cfg = case
+        region = Region.of([0, 1], cfg.n)
+        assert mc_trace_distance(spec, region, self.k, cfg) \
+            == _reference_trace_distance(spec, region, self.k, cfg)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_design_distance(self, case, t):
+        spec, cfg = case
+        region = Region.of([1], cfg.n)
+        assert mc_design_distance(spec, region, self.k, t, cfg) \
+            == _reference_design_distance(spec, region, self.k, t, cfg)
