@@ -24,7 +24,7 @@ from .bounds import (area_law_bound, boundary_probability, BoundReport,
                      first_moment_convergence_bound, reachable_boundary_column,
                      swap_constant, t_design_delta)
 from .config import (ExperimentConfig, ValidationError, family_structures,
-                     load_config, model_shape, policy_from_config, region_from_sites,
+                     load_config, model_shape, region_from_sites,
                      run_int, spec_from_config, structure_from_model)
 from .errors import CapExceeded
 from .oracle import OracleConfig, mc_purity_trajectory
@@ -178,7 +178,6 @@ def cmd_path1d(cfg: ExperimentConfig) -> ResultTable:
 
 
 def cmd_gap(cfg: ExperimentConfig) -> ResultTable:
-    _, d = model_shape(cfg.model)
     kind = cfg.policy.get("kind")
     if kind not in ("uncorrelated", "sweep"):
         raise ValidationError("the gap command supports uncorrelated and sweep policies")
@@ -189,13 +188,12 @@ def cmd_gap(cfg: ExperimentConfig) -> ResultTable:
         instances = [(structure.n, structure)]
     ns, labels, gaps = [], [], []
     for n, structure in instances:
-        policy = policy_from_config(cfg.policy, len(structure.regions))
-        spec = EnsembleSpec(structure, policy, d)
+        spec = spec_from_config(cfg, structure)
         gap = spectral_gap_swap(spec)
         ns.append(n)
-        if isinstance(policy, CorrelatedSweep):
+        if isinstance(spec.policy, CorrelatedSweep):
             raw = cfg.policy.get("order")
-            labels.append(raw if isinstance(raw, str) else ",".join(map(str, policy.order)))
+            labels.append(raw if isinstance(raw, str) else ",".join(map(str, spec.policy.order)))
         else:
             labels.append("")
         gaps.append(gap)

@@ -163,8 +163,10 @@ def policy_from_config(policy: dict[str, Any], num_regions: int):
     raise ValidationError(f"unknown policy kind {kind!r}")
 
 
-def spec_from_config(cfg: ExperimentConfig) -> EnsembleSpec:
-    structure = structure_from_model(cfg.model)
+def spec_from_config(cfg: ExperimentConfig, structure: LocalStructure | None = None) -> EnsembleSpec:
+    """The config's policy on its model's structure, or on the given one (a family member)."""
+    if structure is None:
+        structure = structure_from_model(cfg.model)
     _, d = model_shape(cfg.model)
     try:
         return EnsembleSpec(structure, policy_from_config(cfg.policy, len(structure.regions)), d)

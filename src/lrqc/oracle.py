@@ -8,9 +8,12 @@ Conventions.  Basis index x encodes site s in digit (x // d^s) % d, so site 0
 is least significant.  A gate on a region addresses the region's sites in
 ascending order with the lowest site least significant.  Monte Carlo sample s
 owns the random stream seeded by (seed, 0, s) (circuit draws) or (seed, 1, s)
-(reference Haar states); for each gate a sample draws one uniform to pick the
-region (none under a correlated sweep) and then the gate's Gaussians, so
-trajectories of different lengths share their common prefix.
+(reference Haar states).  Uncorrelated and Markov gates each draw one uniform
+to pick the region, then the gate's Gaussians; a correlated sweep draws no
+uniform and one block of Gaussians per step, which the gates of its pass slice
+in order, the same sequence as drawing gate by gate.  So trajectories of
+different lengths share their common prefix, and a sample's values depend only
+on its own stream, never on the chunk or reduction sub-batch it falls in.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ MATRIX_DIM_CAP = 1 << 10
 SUPEROP_DIM_CAP = 1 << 12
 _NORM_TOL = 1e-10
 _CHUNK_ELEMENTS = 1 << 24  # complex doubles held per batch of states
+_REDUCE_BYTES = 1 << 22  # bytes of factors and products per reduction sub-batch
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +175,32 @@ def _region_factors(states: np.ndarray, sites: Sequence[int], n: int, d: int) ->
     return states.reshape((c,) + (d,) * n).transpose(perm).reshape(c, dm, -1)
 
 
+def _reduce(states: np.ndarray, sites: Sequence[int], n: int, d: int, out: np.ndarray,
+            fn=lambda rho: rho) -> np.ndarray:
+    """Write fn(rho) of the region's reduced density matrices rho = M M^dag into out.
+
+    Runs over sub-batches sized so that two factor copies and two products
+    fit in _REDUCE_BYTES, or one sample at a time if that alone is more.
+    """
+    dm = d ** len(sites)
+    size = max(1, _REDUCE_BYTES // (32 * dm * (d**n // dm + dm)))
+    for lo in range(0, states.shape[0], size):
+        m = _region_factors(states[lo:lo + size], sites, n, d)
+        out[lo:lo + size] = fn(m @ m.conj().swapaxes(1, 2))
+    return out
+
+
 def _purity_batch(states: np.ndarray, sites: Sequence[int], n: int, d: int) -> np.ndarray:
-    g = _reduced_density_batch(states, sites, n, d)
-    return np.einsum('sac,sac->s', g, g.conj()).real
+    """Tr(rho^2) per sample, reduced on the smaller side of the cut (both sides agree)."""
+    if 2 * len(sites) > n:
+        sites = [s for s in range(n) if s not in sites]
+    return _reduce(states, sites, n, d, np.empty(states.shape[0]),
+                   lambda rho: np.einsum('sac,sac->s', rho, rho.conj()).real)
 
 
 def _reduced_density_batch(states: np.ndarray, sites: Sequence[int], n: int, d: int) -> np.ndarray:
-    m = _region_factors(states, sites, n, d)
-    return np.einsum('sab,scb->sac', m, m.conj())
+    dm = d ** len(sites)
+    return _reduce(states, sites, n, d, np.empty((states.shape[0], dm, dm), dtype=complex))
 
 
 def reduced_purity(state: DenseState, region: Region) -> float:
@@ -198,7 +220,8 @@ def _pick(cum: list[float], u: float) -> int:
 
 
 def _region_draws(spec: EnsembleSpec, k: int):
-    """Gates per step, and a per-stream generator of k steps' region indices in gate order.
+    """A sweep's pass in gate order (None for drawn regions), and a per-stream
+    generator of k steps' region indices in gate order.
 
     Uncorrelated and Markov gates draw one uniform each from the stream.  A
     sweep draws none and runs its pass reversed: order[0]'s map acts on the
@@ -207,10 +230,10 @@ def _region_draws(spec: EnsembleSpec, k: int):
     pol = spec.policy
     if isinstance(pol, CorrelatedSweep):
         gates = tuple(reversed(pol.order))
-        return len(gates), lambda stream: (r for _ in range(k) for r in gates)
+        return gates, lambda stream: (r for _ in range(k) for r in gates)
     if isinstance(pol, Uncorrelated):
         cums = [np.cumsum(spec.step_weights(j)).tolist() for j in range(k)]
-        return 1, lambda stream: (_pick(cum, stream.random()) for cum in cums)
+        return None, lambda stream: (_pick(cum, stream.random()) for cum in cums)
     cum_init = np.cumsum(pol.initial).tolist()
     cum_rows = [np.cumsum(row).tolist() for row in pol.matrix]
 
@@ -220,7 +243,7 @@ def _region_draws(spec: EnsembleSpec, k: int):
             r = _pick(cum, stream.random())
             yield r
             cum = cum_rows[r]
-    return 1, markov
+    return None, markov
 
 
 def sample_regions(spec: EnsembleSpec, k: int, stream: np.random.Generator) -> list[Region]:
@@ -250,32 +273,52 @@ def _simulate(spec: EnsembleSpec, k_max: int,
               cfg: OracleConfig) -> Iterator[tuple[int, np.ndarray, int]]:
     """Run all samples for k_max steps, yielding (j, states, first_index) per chunk and step.
 
-    The yielded batch is updated in place by the next step.
+    The yielded batch may be overwritten by the next step.
     """
     if spec.structure.n != cfg.n or spec.d != cfg.d:
         raise ValueError("ensemble shape does not match the oracle config")
     n, d = cfg.n, cfg.d
     regions = spec.structure.regions
     site_lists = [r.sites() for r in regions]
-    gate_shapes = [(2, d**r.size, d**r.size) for r in regions]
-    gates_per_step, draws = _region_draws(spec, k_max)
+    dims = [d**r.size for r in regions]
+    sizes = [2 * m * m for m in dims]  # Gaussians per gate
+    sweep, draws = _region_draws(spec, k_max)
+    if sweep is not None:
+        # every sample runs the same pass: one block of Gaussians per step,
+        # which the gates slice in order, each acting on the whole batch
+        offsets = np.cumsum([0] + [sizes[r] for r in sweep]).tolist()
+
+    def apply(states: np.ndarray, r: int, z: np.ndarray) -> np.ndarray:
+        """Apply region r's Haar gates, one per row of Gaussians z, to the batch."""
+        gates = _haar_from_gaussians(z[:, :sizes[r]].reshape(-1, 2, dims[r], dims[r]))
+        return _apply_gates_batch(states, site_lists[r], gates, n, d)
+
     for lo, hi in _chunks(cfg):
         rngs = [np.random.default_rng((cfg.seed, 0, s)) for s in range(lo, hi)]
-        picks = [draws(rng) for rng in rngs]
         states = np.zeros((hi - lo, d**n), dtype=complex)
         states[:, 0] = 1.0
         yield 0, states, lo
+        if sweep is not None:
+            block = np.empty((hi - lo, offsets[-1]))
+            for j in range(1, k_max + 1):
+                for rng, row in zip(rngs, block):
+                    rng.standard_normal(out=row)
+                for r, a, b in zip(sweep, offsets, offsets[1:]):
+                    states = apply(states, r, block[:, a:b])
+                yield j, states, lo
+            continue
+        picks = [draws(rng) for rng in rngs]
+        block = np.empty((hi - lo, max(sizes)))
         for j in range(1, k_max + 1):
-            for _ in range(gates_per_step):
-                # streams are independent, so drawing every region before any
-                # Gaussians keeps each stream's own order
-                picked = [next(pick) for pick in picks]
-                gauss = [rng.standard_normal(gate_shapes[r]) for rng, r in zip(rngs, picked)]
-                ridx = np.array(picked)
-                for r in np.unique(ridx):
-                    sel = np.flatnonzero(ridx == r)
-                    gates = _haar_from_gaussians(np.stack([gauss[i] for i in sel.tolist()]))
-                    states[sel] = _apply_gates_batch(states[sel], site_lists[r], gates, n, d)
+            # streams are independent, so drawing every region before any
+            # Gaussians keeps each stream's own order
+            picked = [next(pick) for pick in picks]
+            for rng, r, row in zip(rngs, picked, block):
+                rng.standard_normal(out=row[:sizes[r]])
+            ridx = np.array(picked)
+            for r in np.unique(ridx):
+                sel = np.flatnonzero(ridx == r)
+                states[sel] = apply(states[sel], r, block[sel])
             yield j, states, lo
 
 

@@ -172,6 +172,19 @@ class TestGap:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", [
+        {"n": 4, "d": 2, "family": {"kind": "path", "sizes": [4]}},
+        {"n": 3, "d": 2, "regions": [[0, 1], [1, 2]]},
+    ])
+    def test_malformed_policy_rejected(self, tmp_path, capsys, model):
+        # the same policy exits 2 on evolve; gap must not end in a traceback
+        out = tmp_path / "gap.csv"
+        cfg = {"model": model, "policy": {"kind": "uncorrelated", "step_weights": 5},
+               "output": {"path": str(out)}}
+        assert run_cli(tmp_path, "gap", cfg) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_cap_exceeded(self, tmp_path):
         out = tmp_path / "gap.csv"
         cfg = {
@@ -232,6 +245,19 @@ class TestOracleCmd:
         _, rows = read_csv(out)
         assert all(float(row[1]) == 1.0 for row in rows)
         assert [float(row[4]) for row in rows] == [0.0] * 13
+
+    def test_reruns_byte_identical_at_blas_size(self, tmp_path):
+        # 32 x 32 reduced densities per sample, large enough for BLAS matmul
+        cfg = {
+            "model": {"n": 10, "d": 2, "regions": [[i, i + 1] for i in range(9)]},
+            "policy": {"kind": "uncorrelated"},
+            "run": {"initial_region": [0, 1, 2, 3, 4], "k_max": 4, "seed": 5, "samples": 60},
+            "output": {"path": str(tmp_path / "oracle.csv")},
+        }
+        assert run_cli(tmp_path, "oracle", cfg) == 0
+        first = (tmp_path / "oracle.csv").read_bytes()
+        assert run_cli(tmp_path, "oracle", cfg) == 0
+        assert (tmp_path / "oracle.csv").read_bytes() == first
 
     def test_state_cap(self, tmp_path):
         out = tmp_path / "oracle.csv"

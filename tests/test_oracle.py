@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrqc import (CapExceeded, CorrelatedSweep, DenseState, EnsembleSpec,
                   LocalStructure, Markov, OracleConfig, Region, SwapVector,
@@ -526,6 +528,8 @@ def _reference_design_distance(spec, region, k, t, cfg):
 
 def _engine_specs():
     path3 = path_structure(3)
+    mixed = LocalStructure(4, tuple(Region.of(sites, 4)
+                                    for sites in ([2], [0, 1], [1, 2, 3], [3])))
     step_weights = ((0.2, 0.8), (1.0, 0.0), (0.5, 0.5), (0.0, 1.0))
     return {
         "uncorrelated-d2": EnsembleSpec(path3, Uncorrelated(), 2),
@@ -536,6 +540,9 @@ def _engine_specs():
             (0.5, 0.25, 0.25), ((0.1, 0.9, 0.0), (0.3, 0.3, 0.4), (0.0, 0.6, 0.4))), 2),
         "sweep-complete": EnsembleSpec(complete_structure(4),
                                        CorrelatedSweep((3, 0, 5, 1, 4, 2)), 2),
+        # regions of 1, 2 and 3 sites: the Gaussian blocks have uneven offsets
+        "sweep-mixed": EnsembleSpec(mixed, CorrelatedSweep((2, 0, 3, 1)), 2),
+        "uncorrelated-mixed-d3": EnsembleSpec(mixed, Uncorrelated(), 3),
     }
 
 
@@ -590,3 +597,91 @@ class TestEnginePinnedToReference:
         region = Region.of([1], cfg.n)
         assert mc_design_distance(spec, region, self.k, t, cfg) \
             == _reference_design_distance(spec, region, self.k, t, cfg)
+
+
+# ---------------------------------------------------------------------------
+# The matmul reduction kernel pinned to the einsum formula it replaced
+# ---------------------------------------------------------------------------
+
+def _einsum_density(states, sites, n, d):
+    """The former kernel: the region factors M, then M M^dag by einsum."""
+    from lrqc import oracle
+    m = oracle._region_factors(states, sites, n, d)
+    return np.einsum('sab,scb->sac', m, m.conj())
+
+
+def _einsum_purity(states, sites, n, d):
+    g = _einsum_density(states, sites, n, d)
+    return np.einsum('sac,sac->s', g, g.conj()).real
+
+
+@st.composite
+def batches(draw):
+    """(states, sites, n, d): a few random states and a contiguous, scattered,
+    single-site or full region."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["interval", "subset", "single", "full"]))
+    if kind == "interval":
+        lo = draw(st.integers(0, n - 1))
+        sites = list(range(lo, draw(st.integers(lo + 1, n))))
+    elif kind == "subset":
+        sites = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    elif kind == "single":
+        sites = [draw(st.integers(0, n - 1))]
+    else:
+        sites = list(range(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 3)), d**n)
+    states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return states / np.linalg.norm(states, axis=1, keepdims=True), sites, n, d
+
+
+class TestReductionKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(batches())
+    def test_matches_einsum(self, batch):
+        from lrqc.oracle import _purity_batch, _reduced_density_batch
+        want = _einsum_density(*batch)
+        got = _reduced_density_batch(*batch)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.allclose(_purity_batch(*batch), _einsum_purity(*batch), rtol=1e-13, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches())
+    def test_one_sample_sub_batches_bit_identical(self, batch):
+        from lrqc.oracle import _purity_batch, _reduced_density_batch
+        whole = _reduced_density_batch(*batch), _purity_batch(*batch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("lrqc.oracle._REDUCE_BYTES", 1)
+            single = _reduced_density_batch(*batch), _purity_batch(*batch)
+        assert np.array_equal(whole[0], single[0])
+        assert np.array_equal(whole[1], single[1])
+
+    @pytest.mark.parametrize("sites", [[0, 1, 2, 3, 4], [1, 3, 5, 7, 9], [4], list(range(7))])
+    def test_sub_batches_bit_identical_at_blas_size(self, monkeypatch, sites):
+        from lrqc import oracle
+        rng = np.random.default_rng(3)
+        states = rng.standard_normal((40, 1024)) + 1j * rng.standard_normal((40, 1024))
+        runs = []
+        for budget in (1, 1 << 16, 1 << 30):  # one sample, a few, and all 40 per sub-batch
+            monkeypatch.setattr("lrqc.oracle._REDUCE_BYTES", budget)
+            runs.append((oracle._reduced_density_batch(states, sites, 10, 2),
+                         oracle._purity_batch(states, sites, 10, 2)))
+        for rho, purity in runs[1:]:
+            assert np.array_equal(rho, runs[0][0])
+            assert np.array_equal(purity, runs[0][1])
+
+    @pytest.mark.parametrize("sites", [list(range(6)), [0, 2, 4, 6, 8, 10], [3], list(range(12))])
+    def test_purity_memory_within_budget(self, sites):
+        from lrqc import oracle
+        rng = np.random.default_rng(4)
+        states = rng.standard_normal((300, 4096)) + 1j * rng.standard_normal((300, 4096))
+        tracemalloc.start()
+        try:
+            out = oracle._purity_batch(states, sites, 12, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= oracle._REDUCE_BYTES + out.nbytes
