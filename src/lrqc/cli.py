@@ -293,31 +293,23 @@ def cmd_bounds(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _fixcheck_rows(structure: LocalStructure, d: int):
+    """(case, regions, predicted, measured) fixed-space dimensions of one region, a disjoint
+    and an overlapping pair, and the whole ensemble."""
     n = structure.n
     regions = structure.regions
-
-    def measured(subset: tuple[Region, ...]) -> int:
-        spec = EnsembleSpec(LocalStructure(n, subset), Uncorrelated(), d)
-        return fixed_space_dimension(build_swap_matrix(spec))
-
-    first = regions[0]
-    yield ("single", [first], 2 ** (n - first.size + 1), measured((first,)))
-    disjoint = overlap = None
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            a, b = regions[i], regions[j]
-            if (a & b).is_empty and disjoint is None:
-                disjoint = (a, b)
-            if not (a & b).is_empty and overlap is None and a != b:
-                overlap = (a, b)
+    cases = [("single", (regions[0],))]
+    pairs = [(a, b) for i, a in enumerate(regions) for b in regions[i + 1:]]
+    disjoint = next(((a, b) for a, b in pairs if (a & b).is_empty), None)
+    overlap = next(((a, b) for a, b in pairs if not (a & b).is_empty and a != b), None)
     if disjoint is not None:
-        a, b = disjoint
-        yield ("pair-disjoint", [a, b], 4 * 2 ** (n - a.size - b.size), measured((a, b)))
+        cases.append(("pair-disjoint", disjoint))
     if overlap is not None:
-        a, b = overlap
-        yield ("pair-overlap", [a, b], 2 ** (n - (a | b).size + 1), measured((a, b)))
-    predicted = connected_components(structure).fixed_dimension
-    yield ("full-ensemble", list(regions), predicted, measured(regions))
+        cases.append(("pair-overlap", overlap))
+    cases.append(("full-ensemble", regions))
+    for case, subset in cases:
+        sub = LocalStructure(n, subset)
+        measured = fixed_space_dimension(build_swap_matrix(EnsembleSpec(sub, Uncorrelated(), d)))
+        yield case, list(subset), connected_components(sub).fixed_dimension, measured
 
 
 def cmd_fixcheck(cfg: ExperimentConfig) -> ResultTable:

@@ -21,8 +21,7 @@ class ValidationError(ValueError):
 _SECTIONS = {"model", "policy", "run", "output"}
 _MODEL_KEYS = {"n", "d", "regions", "weights", "family"}
 _POLICY_KEYS = {"kind", "initial", "matrix", "order", "step_weights"}
-_RUN_KEYS = {"initial_region", "k_max", "seed", "samples", "epsilon", "cut",
-             "area_law", "bounds"}
+_RUN_KEYS = {"initial_region", "k_max", "seed", "samples", "cut", "area_law", "bounds"}
 _OUTPUT_KEYS = {"path", "format"}
 _ORDER_NAMES = ("identity", "expanding", "reversed")
 

@@ -175,32 +175,32 @@ def _region_factors(states: np.ndarray, sites: Sequence[int], n: int, d: int) ->
     return states.reshape((c,) + (d,) * n).transpose(perm).reshape(c, dm, -1)
 
 
-def _reduce(states: np.ndarray, sites: Sequence[int], n: int, d: int, out: np.ndarray,
-            fn=lambda rho: rho) -> np.ndarray:
-    """Write fn(rho) of the region's reduced density matrices rho = M M^dag into out.
+def _reduce(states: np.ndarray, sites: Sequence[int], n: int, d: int, consume,
+            extra: int = 0) -> None:
+    """Call consume(first index, rho) on each sub-batch of the region's reduced
+    density matrices rho = M M^dag.
 
-    Runs over sub-batches sized so that two factor copies and two products
-    fit in _REDUCE_BYTES, or one sample at a time if that alone is more.
+    A sub-batch holds as many samples as fit two factor copies, two products
+    and ``extra`` further bytes per sample in _REDUCE_BYTES, or one sample if
+    that alone is more.
     """
     dm = d ** len(sites)
-    size = max(1, _REDUCE_BYTES // (32 * dm * (d**n // dm + dm)))
+    size = max(1, _REDUCE_BYTES // (32 * dm * (d**n // dm + dm) + extra))
     for lo in range(0, states.shape[0], size):
         m = _region_factors(states[lo:lo + size], sites, n, d)
-        out[lo:lo + size] = fn(m @ m.conj().swapaxes(1, 2))
-    return out
+        consume(lo, m @ m.conj().swapaxes(1, 2))
 
 
 def _purity_batch(states: np.ndarray, sites: Sequence[int], n: int, d: int) -> np.ndarray:
     """Tr(rho^2) per sample, reduced on the smaller side of the cut (both sides agree)."""
     if 2 * len(sites) > n:
         sites = [s for s in range(n) if s not in sites]
-    return _reduce(states, sites, n, d, np.empty(states.shape[0]),
-                   lambda rho: np.einsum('sac,sac->s', rho, rho.conj()).real)
+    out = np.empty(states.shape[0])
 
-
-def _reduced_density_batch(states: np.ndarray, sites: Sequence[int], n: int, d: int) -> np.ndarray:
-    dm = d ** len(sites)
-    return _reduce(states, sites, n, d, np.empty((states.shape[0], dm, dm), dtype=complex))
+    def purity(lo: int, rho: np.ndarray) -> None:
+        out[lo:lo + rho.shape[0]] = np.einsum('sac,sac->s', rho, rho.conj()).real
+    _reduce(states, sites, n, d, purity)
+    return out
 
 
 def reduced_purity(state: DenseState, region: Region) -> float:
@@ -362,10 +362,13 @@ def mc_trace_distance(spec: EnsembleSpec, region: Region, k: int,
     sites = region.sites()
     values = np.empty(cfg.samples)
     for j, states, lo in _simulate(spec, k, cfg):
-        if j == k:
-            rho = _reduced_density_batch(states, sites, cfg.n, cfg.d)
+        if j != k:
+            continue
+
+        def distance(sub: int, rho: np.ndarray) -> None:
             rho -= np.eye(dm) / dm
-            values[lo:lo + states.shape[0]] = np.abs(np.linalg.eigvalsh(rho)).sum(axis=1)
+            values[lo + sub:lo + sub + rho.shape[0]] = np.abs(np.linalg.eigvalsh(rho)).sum(axis=1)
+        _reduce(states, sites, cfg.n, cfg.d, distance, 16 * dm)  # eigenvalues, their moduli
     return _estimate(values)
 
 
@@ -403,15 +406,18 @@ def mc_design_distance(spec: EnsembleSpec, region: Region, k: int, t: int,
         raise CapExceeded(f"moment dimension {dm}^{t} exceeds the cap {MATRIX_DIM_CAP}")
     sites = region.sites()
     n_first = (cfg.samples + 1) // 2
+    moment_bytes = 16 * sum(dm ** (2 * i) for i in range(2, t + 1))  # the Kronecker powers
 
     def average(batches) -> tuple[np.ndarray, float]:
         """Mean t-th moment over all samples, and its half-sample split error."""
         halves = [np.zeros((dm**t, dm**t), dtype=complex) for _ in range(2)]
         for states, lo in batches:
-            mom = _kron_power_batch(_reduced_density_batch(states, sites, cfg.n, cfg.d), t)
-            cut = min(max(n_first - lo, 0), states.shape[0])
-            halves[0] += mom[:cut].sum(axis=0)
-            halves[1] += mom[cut:].sum(axis=0)
+            def accumulate(sub: int, rho: np.ndarray) -> None:
+                mom = _kron_power_batch(rho, t)
+                cut = min(max(n_first - lo - sub, 0), mom.shape[0])
+                halves[0] += mom[:cut].sum(axis=0)
+                halves[1] += mom[cut:].sum(axis=0)
+            _reduce(states, sites, cfg.n, cfg.d, accumulate, moment_bytes)
         split = trace_norm(halves[0] / n_first - halves[1] / (cfg.samples - n_first)) / 2.0
         return (halves[0] + halves[1]) / cfg.samples, split
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CapExceeded, NumericalAmbiguityError
 from .regions import Region, in_boundary
 
-DENSE_MATRIX_MAX_SITES = 14
+GAP_MAX_SITES = 14
 MATRIX_BYTE_BUDGET = 4 << 30  # admits uncorrelated builds up to 14 sites, two-site sweeps up to 13
 DEFAULT_PRUNE_TOL = 1e-15
 RANK_TOL = 1e-9
@@ -57,12 +57,7 @@ class LocalStructure:
         if self.weights is not None:
             w = tuple(float(x) for x in self.weights)
             object.__setattr__(self, "weights", w)
-            if len(w) != len(self.regions):
-                raise ValueError("weights and regions must have the same length")
-            if any(x < 0 for x in w):
-                raise ValueError("weights must be nonnegative")
-            if abs(math.fsum(w) - 1.0) > _WEIGHT_SUM_TOL:
-                raise ValueError(f"weights sum to {math.fsum(w)}, not 1")
+            _check_distribution(w, len(self.regions), "weights")
 
     def weight_vector(self) -> tuple[float, ...]:
         if self.weights is not None:
@@ -145,6 +140,8 @@ class EnsembleSpec:
 def _check_distribution(w: Sequence[float], m: int, what: str) -> None:
     if len(w) != m:
         raise ValueError(f"{what} has length {len(w)}, expected {m}")
+    if not all(math.isfinite(x) for x in w):
+        raise ValueError(f"{what} has non-finite entries")
     if any(x < 0 for x in w):
         raise ValueError(f"{what} has negative entries")
     if abs(math.fsum(w) - 1.0) > _WEIGHT_SUM_TOL:
@@ -475,11 +472,9 @@ def _step_factors(spec: EnsembleSpec) -> list[tuple[np.ndarray, ...]]:
     return [tuple(np.concatenate(p) for p in zip(*pieces))]
 
 
-def _apply_factors(factors: list, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """The step (or its transpose) applied to a dense vector over all 2^n swaps."""
-    for src, dst, weight in reversed(factors) if transpose else factors:
-        if transpose:
-            src, dst = dst, src
+def _apply_factors(factors: list, x: np.ndarray) -> np.ndarray:
+    """The factors applied in turn to a dense vector over all 2^n swaps."""
+    for src, dst, weight in factors:
         x = np.bincount(dst, weights=weight * x[src], minlength=x.size)
     return x
 
@@ -507,8 +502,6 @@ def build_swap_matrix(spec: EnsembleSpec) -> np.ndarray:
     allocated.
     """
     n = spec.structure.n
-    if n > DENSE_MATRIX_MAX_SITES:
-        raise CapExceeded(f"dense swap matrices are capped at {DENSE_MATRIX_MAX_SITES} sites, got {n}")
     _require_single_step(spec)
     need = _matrix_bytes(spec)
     if need > MATRIX_BYTE_BUDGET:
@@ -559,27 +552,30 @@ def spectral_gap_swap(spec: EnsembleSpec) -> float:
     is projected out orthogonally in those coordinates.  A gate on a whole
     component of the acting regions is the orthogonal projector onto the
     swaps it fixes, so the product T of those gates projects onto the fixed
-    space, and P C^T M C^-T P = C^T (M - T) C^-T =: B.  Nothing of size 4^n
-    is formed: M and T act through their sparse factors, C and G through
-    their Kronecker structure (one 2x2 map per site).  Lanczos with full
+    space, and P C^T M C^-T P = C^T (M - T) C^-T =: B.  Every gate map M_r is
+    a Hilbert-Schmidt orthogonal projector, G M_r = M_r^T G, so the adjoint
+    M* = G^-1 M^T G of the step is its own factors in reverse order, T* = T,
+    and B^T B = C^T (M* - T)(M - T) C^-T.  Nothing of size 4^n is formed: M,
+    M* and T act through their sparse factors, C^T and C^-T through their
+    Kronecker structure (one 2x2 map per site).  Lanczos with full
     reorthogonalization on B^T B starts from a fixed vector and stops once
     the Ritz residual of the largest value is below ``_LANCZOS_TOL``.
     """
     n = spec.structure.n
-    if n > DENSE_MATRIX_MAX_SITES:  # kept until the solver budgets its own bytes
-        raise CapExceeded(f"the spectral gap is capped at {DENSE_MATRIX_MAX_SITES} sites, got {n}")
+    if n > GAP_MAX_SITES:  # kept until the solver budgets its own bytes
+        raise CapExceeded(f"the spectral gap is capped at {GAP_MAX_SITES} sites, got {n}")
     _require_single_step(spec)
     step = _step_factors(spec)
     fixed = connected_components(LocalStructure(n, _acting_regions(spec)))
     twirls = [_factor(component, spec.d) for component in fixed.components]
-    gram = np.array([[1.0, 1.0 / spec.d], [1.0 / spec.d, 1.0]])
-    inv = np.linalg.inv(np.linalg.cholesky(gram))  # one site of C^-1
+    chol = np.linalg.cholesky(np.array([[1.0, 1.0 / spec.d], [1.0 / spec.d, 1.0]]))  # one site of C
+    inv_t = np.linalg.inv(chol).T  # one site of C^-T
 
-    def shifted(x: np.ndarray, transpose: bool = False) -> np.ndarray:  # (M - T) x
-        return _apply_factors(step, x, transpose) - _apply_factors(twirls, x, transpose)
+    def shifted(factors: list, x: np.ndarray) -> np.ndarray:  # (M - T) x, or (M* - T) x
+        return _apply_factors(factors, x) - _apply_factors(twirls, x)
 
-    def normal_map(v: np.ndarray) -> np.ndarray:  # B^T B v = C^-1 (M - T)^T G (M - T) C^-T v
-        return _on_sites(inv, shifted(_on_sites(gram, shifted(_on_sites(inv.T, v))), True))
+    def normal_map(v: np.ndarray) -> np.ndarray:  # B^T B v = C^T (M* - T)(M - T) C^-T v
+        return _on_sites(chol.T, shifted(step[::-1], shifted(step, _on_sites(inv_t, v))))
 
     basis: list[np.ndarray] = []
     alphas: list[float] = []

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -391,6 +392,26 @@ class TestValidation:
         cfg = base_config(str(out), model={"weights": weights})
         assert run_cli(tmp_path, "evolve", cfg) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, policy", [
+        ({"weights": [math.nan, 1.0]}, {"kind": "uncorrelated"}),
+        ({}, {"kind": "markov", "initial": [math.nan, 1.0], "matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+        ({}, {"kind": "uncorrelated", "step_weights": [[math.nan, 1.0], [0.5, 0.5]]}),
+    ], ids=["weights", "markov-initial", "step-weights"])
+    def test_non_finite_weights_rejected(self, tmp_path, capsys, model, policy):
+        out = tmp_path / "x.csv"
+        cfg = base_config(str(out), model={"n": 3, "regions": [[0, 1], [1, 2]], **model},
+                          policy=policy, run={"initial_region": [0], "k_max": 2})
+        assert run_cli(tmp_path, "evolve", cfg) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_epsilon_is_unknown(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        cfg = base_config(str(out), run={"epsilon": "anything"})
+        assert run_cli(tmp_path, "evolve", cfg) == 2
+        assert "epsilon" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_output_directory(self, tmp_path, capsys):

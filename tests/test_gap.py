@@ -80,6 +80,7 @@ def _spec(n, regions, weights=None, policy=Uncorrelated(), d=2):
 
 @settings(max_examples=150, deadline=None)
 @given(ensembles())
+@example(_spec(3, [[0], [0, 1], [0, 1, 2]], policy=CorrelatedSweep((0, 1, 2)), d=3))  # gap 1
 @example(_spec(7, [[0, 1, 2], [2, 3], [5, 6]], (0.5, 0.0, 0.5)))  # zero weight, uncovered site
 @example(_spec(7, [[0, 1, 2], [2, 3], [5, 6]], policy=CorrelatedSweep((2, 0, 1)), d=3))
 @example(_spec(5, [[0], [3]]))  # nothing straddled: the whole space is fixed
@@ -93,6 +94,44 @@ def test_gap_matches_dense_reference(spec):
     assert predicted == 2 ** len(decomposition.components) * 2 ** decomposition.residual.size
     assert 0 <= iterations < matrix.shape[0]
     assert residual <= 1e-13
+
+
+def _gram(n, d):
+    """The swap Gram matrix: the n-fold Kronecker power of the one-site Gram matrix."""
+    out = np.ones((1, 1))
+    for _ in range(n):
+        out = np.kron(out, [[1.0, 1.0 / d], [1.0 / d, 1.0]])
+    return out
+
+
+@st.composite
+def single_regions(draw):
+    n = draw(st.integers(1, 6))
+    sites = draw(st.one_of(st.just(list(range(n))),
+                           st.lists(st.integers(0, n - 1), min_size=1, unique=True)))
+    return EnsembleSpec(LocalStructure(n, (Region.of(sites, n),)), Uncorrelated(),
+                        draw(st.sampled_from([2, 3])))
+
+
+class TestGateAdjointIdentity:
+    """The solver's premise: each gate map is a Hilbert-Schmidt orthogonal projector,
+    G M_r = M_r^T G, so the adjoint of a sweep is the sweep in reverse order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(single_regions())
+    def test_gate_is_self_adjoint(self, spec):
+        matrix, gram = build_swap_matrix(spec), _gram(spec.structure.n, spec.d)
+        assert np.abs(gram @ matrix - matrix.T @ gram).max() <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(ensembles(), st.data())
+    def test_sweep_adjoint_is_reversed_sweep(self, spec, data):
+        order = tuple(data.draw(st.permutations(range(len(spec.structure.regions)))))
+        forward, backward = (build_swap_matrix(EnsembleSpec(spec.structure, CorrelatedSweep(o),
+                                                            spec.d))
+                             for o in (order, order[::-1]))
+        gram = _gram(spec.structure.n, spec.d)
+        assert np.abs(gram @ forward - backward.T @ gram).max() <= 1e-14
 
 
 def test_gap_logs_nothing_by_default(capsys):

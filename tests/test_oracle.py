@@ -468,6 +468,14 @@ def _reference_simulate(spec, k_max, cfg, consume):
             consume(j, states, lo)
 
 
+def _reduced_densities(states, sites, n, d):
+    """Every sample's reduced density matrix, joined from the kernel's sub-batches."""
+    from lrqc import oracle
+    parts = []
+    oracle._reduce(states, sites, n, d, lambda lo, rho: parts.append(rho))
+    return np.concatenate(parts)
+
+
 def _reference_trace_distance(spec, region, k, cfg):
     from lrqc import oracle
     dm = cfg.d**region.size
@@ -476,7 +484,7 @@ def _reference_trace_distance(spec, region, k, cfg):
     def consume(j, states, lo):
         if j != k:
             return
-        rho = oracle._reduced_density_batch(states, region.sites(), cfg.n, cfg.d)
+        rho = _reduced_densities(states, region.sites(), cfg.n, cfg.d)
         rho -= np.eye(dm) / dm
         values[lo:lo + states.shape[0]] = np.abs(np.linalg.eigvalsh(rho)).sum(axis=1)
 
@@ -500,7 +508,7 @@ def _reference_design_distance(spec, region, k, t, cfg):
         if j != k:
             return
         mom = oracle._kron_power_batch(
-            oracle._reduced_density_batch(states, sites, cfg.n, cfg.d), t)
+            _reduced_densities(states, sites, cfg.n, cfg.d), t)
         cut = min(max(n_first - lo, 0), states.shape[0])
         halves[0] += mom[:cut].sum(axis=0)
         halves[1] += mom[cut:].sum(axis=0)
@@ -517,7 +525,7 @@ def _reference_design_distance(spec, region, k, t, cfg):
         states = z[:, 0, :] + 1j * z[:, 1, :]
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         mom = oracle._kron_power_batch(
-            oracle._reduced_density_batch(states, sites, cfg.n, cfg.d), t)
+            _reduced_densities(states, sites, cfg.n, cfg.d), t)
         cut = min(max(n_first - lo, 0), hi - lo)
         haar_halves[0] += mom[:cut].sum(axis=0)
         haar_halves[1] += mom[cut:].sum(axis=0)
@@ -641,9 +649,9 @@ class TestReductionKernel:
     @settings(max_examples=150, deadline=None)
     @given(batches())
     def test_matches_einsum(self, batch):
-        from lrqc.oracle import _purity_batch, _reduced_density_batch
+        from lrqc.oracle import _purity_batch
         want = _einsum_density(*batch)
-        got = _reduced_density_batch(*batch)
+        got = _reduced_densities(*batch)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert np.allclose(_purity_batch(*batch), _einsum_purity(*batch), rtol=1e-13, atol=0)
@@ -651,11 +659,11 @@ class TestReductionKernel:
     @settings(max_examples=60, deadline=None)
     @given(batches())
     def test_one_sample_sub_batches_bit_identical(self, batch):
-        from lrqc.oracle import _purity_batch, _reduced_density_batch
-        whole = _reduced_density_batch(*batch), _purity_batch(*batch)
+        from lrqc.oracle import _purity_batch
+        whole = _reduced_densities(*batch), _purity_batch(*batch)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("lrqc.oracle._REDUCE_BYTES", 1)
-            single = _reduced_density_batch(*batch), _purity_batch(*batch)
+            single = _reduced_densities(*batch), _purity_batch(*batch)
         assert np.array_equal(whole[0], single[0])
         assert np.array_equal(whole[1], single[1])
 
@@ -667,7 +675,7 @@ class TestReductionKernel:
         runs = []
         for budget in (1, 1 << 16, 1 << 30):  # one sample, a few, and all 40 per sub-batch
             monkeypatch.setattr("lrqc.oracle._REDUCE_BYTES", budget)
-            runs.append((oracle._reduced_density_batch(states, sites, 10, 2),
+            runs.append((_reduced_densities(states, sites, 10, 2),
                          oracle._purity_batch(states, sites, 10, 2)))
         for rho, purity in runs[1:]:
             assert np.array_equal(rho, runs[0][0])
@@ -685,3 +693,36 @@ class TestReductionKernel:
         finally:
             tracemalloc.stop()
         assert peak <= oracle._REDUCE_BYTES + out.nbytes
+
+
+class TestDistanceMemory:
+    """Both distance estimators reduce under _REDUCE_BYTES at any sample count.
+
+    Beside the reduction they hold the simulated state batch, with the copies a
+    gate step makes, and their output: the per-sample distances, or the two
+    half-sample sums, the circuit mean and one sub-batch sum of the moments.
+    """
+
+    @pytest.mark.parametrize("samples", [10, 40])
+    @pytest.mark.parametrize("estimator", ["trace", "design"])
+    def test_peak_within_budget(self, estimator, samples):
+        from lrqc import oracle
+        n = 8
+        spec = EnsembleSpec(path_structure(n), Uncorrelated(), 2)
+        cfg = OracleConfig(seed=1, samples=samples, d=2, n=n)
+        if estimator == "trace":  # one 256x256 reduced state per sample
+            run = lambda: mc_trace_distance(spec, Region.full(n), 2, cfg)
+            output = 8 * samples
+        else:  # one 256x256 second moment per sample
+            run = lambda: mc_design_distance(spec, Region.of(range(4), n), 2, 2, cfg)
+            output = 4 * 16 * 256**2
+        states = 4 * 16 * 2**n * samples
+        # allocations of a first call that later calls reuse
+        mc_trace_distance(spec, Region.of([0], n), 1, OracleConfig(seed=1, samples=2, d=2, n=n))
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= oracle._REDUCE_BYTES + output + states
