@@ -31,8 +31,8 @@ from .oracle import OracleConfig, mc_purity_trajectory
 from .path1d import PathParams, purity_exact, spectrum
 from .regions import Region
 from .swapcore import (CorrelatedSweep, EnsembleSpec, LocalStructure, Uncorrelated,
-                       build_swap_matrix, connected_components,
-                       fixed_space_dimension, purity_infinity, purity_trajectory,
+                       build_swap_matrix, connected_components, fixed_space_dimension,
+                       gram_symmetric_step, purity_infinity, purity_trajectory,
                        spectral_gap_swap)
 
 FIXCHECK_MAX_SITES = 10
@@ -294,7 +294,10 @@ def cmd_bounds(cfg: ExperimentConfig) -> ResultTable:
 
 def _fixcheck_rows(structure: LocalStructure, d: int):
     """(case, regions, predicted, measured) fixed-space dimensions of one region, a disjoint
-    and an overlapping pair, and the whole ensemble."""
+    and an overlapping pair, and the whole ensemble.
+
+    Each case is an uncorrelated step, which is self-adjoint, so its dimension is measured
+    on the symmetric Gram-coordinate step with the symmetric eigensolver."""
     n = structure.n
     regions = structure.regions
     cases = [("single", (regions[0],))]
@@ -308,7 +311,8 @@ def _fixcheck_rows(structure: LocalStructure, d: int):
     cases.append(("full-ensemble", regions))
     for case, subset in cases:
         sub = LocalStructure(n, subset)
-        measured = fixed_space_dimension(build_swap_matrix(EnsembleSpec(sub, Uncorrelated(), d)))
+        measured = fixed_space_dimension(
+            gram_symmetric_step(build_swap_matrix(EnsembleSpec(sub, Uncorrelated(), d)), d))
         yield case, list(subset), connected_components(sub).fixed_dimension, measured
 
 

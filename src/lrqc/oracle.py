@@ -32,7 +32,8 @@ STATE_DIM_CAP = 1 << 20
 MATRIX_DIM_CAP = 1 << 10
 SUPEROP_DIM_CAP = 1 << 12
 _NORM_TOL = 1e-10
-_CHUNK_ELEMENTS = 1 << 24  # complex doubles held per batch of states
+_CHUNK_BYTES = 1 << 28  # bytes held per batch of samples, counted by _chunks
+_GENERATOR_BYTES = 2 << 10  # a per-sample Generator and its region draws, by tracemalloc
 _REDUCE_BYTES = 1 << 22  # bytes of factors and products per reduction sub-batch
 
 
@@ -262,9 +263,15 @@ def sample_regions(spec: EnsembleSpec, k: int, stream: np.random.Generator) -> l
 # Batched circuit simulation
 # ---------------------------------------------------------------------------
 
-def _chunks(cfg: OracleConfig) -> Iterator[tuple[int, int]]:
-    """(lo, hi) sample ranges whose batches hold at most _CHUNK_ELEMENTS amplitudes."""
-    size = max(1, min(cfg.samples, _CHUNK_ELEMENTS // cfg.d**cfg.n))
+def _chunks(cfg: OracleConfig, extra: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) sample ranges whose batches fit in _CHUNK_BYTES, or single samples.
+
+    A sample holds its generator, its state with up to four working copies
+    (three while a gate is applied, or the factors and products of a purity
+    reduction) and ``extra`` further bytes.
+    """
+    per_sample = _GENERATOR_BYTES + 5 * 16 * cfg.d**cfg.n + extra
+    size = max(1, min(cfg.samples, _CHUNK_BYTES // per_sample))
     for lo in range(0, cfg.samples, size):
         yield lo, min(lo + size, cfg.samples)
 
@@ -293,7 +300,9 @@ def _simulate(spec: EnsembleSpec, k_max: int,
         gates = _haar_from_gaussians(z[:, :sizes[r]].reshape(-1, 2, dims[r], dims[r]))
         return _apply_gates_batch(states, site_lists[r], gates, n, d)
 
-    for lo, hi in _chunks(cfg):
+    # each sample's Gaussians, and six gate-sized arrays while its Haar gate is made
+    gaussians = offsets[-1] if sweep is not None else max(sizes)
+    for lo, hi in _chunks(cfg, 8 * gaussians + 6 * 16 * max(dims) ** 2):
         rngs = [np.random.default_rng((cfg.seed, 0, s)) for s in range(lo, hi)]
         states = np.zeros((hi - lo, d**n), dtype=complex)
         states[:, 0] = 1.0
@@ -384,7 +393,7 @@ def _kron_power_batch(rho: np.ndarray, t: int) -> np.ndarray:
 def _haar_batches(cfg: OracleConfig) -> Iterator[tuple[np.ndarray, int]]:
     """(states, first_index) chunks of global Haar states, sample s from stream (seed, 1, s)."""
     dim = cfg.d**cfg.n
-    for lo, hi in _chunks(cfg):
+    for lo, hi in _chunks(cfg, 32 * dim):  # the draws, then their stacked copy
         z = np.stack([np.random.default_rng((cfg.seed, 1, s)).standard_normal((2, dim))
                       for s in range(lo, hi)])
         states = z[:, 0, :] + 1j * z[:, 1, :]

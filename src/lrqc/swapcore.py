@@ -29,6 +29,7 @@ DEFAULT_PRUNE_TOL = 1e-15
 RANK_TOL = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
 _LANCZOS_TOL = 1e-13  # Ritz residual bound; B^T B has norm at most 1
+_SITE_BLOCK_BYTES = 1 << 19  # rows of a batch mapped together by _on_sites
 
 _log = logging.getLogger("lrqc")
 
@@ -523,24 +524,77 @@ def build_swap_matrix(spec: EnsembleSpec) -> np.ndarray:
 def fixed_space_dimension(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
     """Multiplicity of eigenvalue 1, i.e. the kernel dimension of (matrix - I).
 
-    Raises ``NumericalAmbiguityError`` instead of silently resolving counts
-    whose singular values sit near the tolerance.
+    Counts the values of matrix - I that are at most ``tol``: the moduli of its
+    eigenvalues from the symmetric eigensolver when the input is exactly
+    symmetric (as ``gram_symmetric_step`` returns it), its singular values
+    otherwise.  For a symmetric input the two coincide.  Raises
+    ``NumericalAmbiguityError`` instead of silently resolving counts whose
+    values sit in the band (tol, 1e3 * tol].
     """
     mat = np.asarray(matrix, dtype=float)
-    s = np.linalg.svd(mat - np.eye(mat.shape[0]), compute_uv=False)
-    in_band = (s > tol) & (s <= 1e3 * tol)
+    shifted = mat.copy()
+    shifted.flat[::mat.shape[0] + 1] -= 1.0
+    if np.array_equal(mat, mat.T):
+        solver, s = "eigvalsh", np.abs(np.linalg.eigvalsh(shifted))
+    else:
+        solver, s = "svd", np.linalg.svd(shifted, compute_uv=False)
+    zero = s <= tol
+    count = int(np.sum(zero))
+    _log.debug("fixed-space dimension %d by %s; largest value counted as zero %s, smallest "
+               "counted nonzero %s", count, solver, s[zero].max() if count else None,
+               s[~zero].min() if count < s.size else None)
+    in_band = ~zero & (s <= 1e3 * tol)
     if np.any(in_band):
         raise NumericalAmbiguityError(
-            f"singular values {s[in_band]} fall inside the ambiguity band around tol={tol}")
-    return int(np.sum(s <= tol))
+            f"values {s[in_band]} of the shifted matrix fall inside the ambiguity band "
+            f"around tol={tol}")
+    return count
+
+
+def _site_maps(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """One site of the Cholesky factor C of the swap Gram matrix G = C C^T, and one of C^-T."""
+    chol = np.linalg.cholesky(np.array([[1.0, 1.0 / d], [1.0 / d, 1.0]]))
+    return chol, np.linalg.inv(chol).T
 
 
 def _on_sites(site: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The n-fold Kronecker power of a 2x2 map applied to a vector of length 2^n."""
-    y = x
-    for _ in range(x.size.bit_length() - 1):  # map the leading site, rotate it last
-        y = (site @ y.reshape(2, -1)).T
-    return y.reshape(-1)
+    """The n-fold Kronecker power of a 2x2 map applied to each row of a (batch, 2^n) array.
+
+    Rows are mapped in blocks of at most ``_SITE_BLOCK_BYTES``, so the working
+    copies of a large batch stay small beside the output.
+    """
+    batch, size = x.shape
+    rows = max(1, _SITE_BLOCK_BYTES // (8 * size))
+    out = np.empty((batch, size))
+    for lo in range(0, batch, rows):
+        y = x[lo:lo + rows].T  # block last: map the leading site, rotate it in front of the block
+        block = y.shape[1]
+        for _ in range(size.bit_length() - 1):
+            y = (site @ y.reshape(2, -1)).reshape(2, -1, block).swapaxes(0, 1)
+        out[lo:lo + block] = y.reshape(size, block).T
+    return out
+
+
+def _gram_conjugate(matrix: np.ndarray, d: int) -> np.ndarray:
+    """C^T M C^-T: a step matrix M in coordinates where the swaps are orthonormal."""
+    chol, inv_t = _site_maps(d)
+    left = _on_sites(chol.T, matrix.T).T  # C^T M, mapping the columns of M
+    return _on_sites(inv_t.T, left)
+
+
+def gram_symmetric_step(matrix: np.ndarray, d: int) -> np.ndarray:
+    """B = C^T M C^-T for an uncorrelated step matrix M, made exactly symmetric as (B + B^T) / 2.
+
+    Each gate map is a Hilbert-Schmidt orthogonal projector, G M_r = M_r^T G,
+    so a mixture of gates is self-adjoint and B is symmetric up to rounding.
+    B is similar to M, so ``fixed_space_dimension`` counts the same
+    eigenvalue-1 space on it, with the symmetric eigensolver.  A correlated
+    sweep is not self-adjoint; its M goes to ``fixed_space_dimension`` as it is.
+    """
+    b = _gram_conjugate(np.asarray(matrix, dtype=float), d)
+    out = b + b.T
+    out *= 0.5
+    return out
 
 
 def spectral_gap_swap(spec: EnsembleSpec) -> float:
@@ -568,14 +622,14 @@ def spectral_gap_swap(spec: EnsembleSpec) -> float:
     step = _step_factors(spec)
     fixed = connected_components(LocalStructure(n, _acting_regions(spec)))
     twirls = [_factor(component, spec.d) for component in fixed.components]
-    chol = np.linalg.cholesky(np.array([[1.0, 1.0 / spec.d], [1.0 / spec.d, 1.0]]))  # one site of C
-    inv_t = np.linalg.inv(chol).T  # one site of C^-T
+    chol, inv_t = _site_maps(spec.d)
 
     def shifted(factors: list, x: np.ndarray) -> np.ndarray:  # (M - T) x, or (M* - T) x
         return _apply_factors(factors, x) - _apply_factors(twirls, x)
 
     def normal_map(v: np.ndarray) -> np.ndarray:  # B^T B v = C^T (M* - T)(M - T) C^-T v
-        return _on_sites(chol.T, shifted(step[::-1], shifted(step, _on_sites(inv_t, v))))
+        x = _on_sites(inv_t, v[None])[0]
+        return _on_sites(chol.T, shifted(step[::-1], shifted(step, x))[None])[0]
 
     basis: list[np.ndarray] = []
     alphas: list[float] = []

@@ -371,6 +371,28 @@ class TestFixcheck:
         cfg["model"] = {"n": 11, "d": 2, "regions": [[0, 1]]}
         assert run_cli(tmp_path, "fixcheck", cfg) == 3
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_complete_six_file_pinned(self, tmp_path, monkeypatch, d):
+        """The whole file, as the SVD of the step matrix measured it."""
+        monkeypatch.chdir(tmp_path)
+        regions = [[i, j] for i in range(6) for j in range(i + 1, 6)]
+        cfg = {"model": {"n": 6, "d": d, "regions": regions},
+               "policy": {"kind": "uncorrelated"}, "run": {},
+               "output": {"path": "fix.csv", "format": "csv"}}
+        assert run_cli(tmp_path, "fixcheck", cfg) == 0
+        every = "0,1;0,2;0,3;0,4;0,5;1,2;1,3;1,4;1,5;2,3;2,4;2,5;3,4;3,5;4,5"
+        assert (tmp_path / "fix.csv").read_text() == (
+            '# command="fixcheck"\n'
+            f'# config={{"model":{{"d":{d},"n":6,"regions":[[0,1],[0,2],[0,3],[0,4],[0,5],[1,2],'
+            '[1,3],[1,4],[1,5],[2,3],[2,4],[2,5],[3,4],[3,5],[4,5]]},'
+            '"output":{"format":"csv","path":"fix.csv"},"policy":{"kind":"uncorrelated"},"run":{}}\n'
+            '# version="0.1.0"\n'
+            'case,regions,predicted_dim,measured_dim,pass\n'
+            'single,"0,1",32,32,true\n'
+            'pair-disjoint,"0,1;2,3",16,16,true\n'
+            'pair-overlap,"0,1;0,2",16,16,true\n'
+            f'full-ensemble,"{every}",2,2,true\n')
+
 
 class TestValidation:
     def test_unknown_section(self, tmp_path):

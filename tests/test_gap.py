@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from lrqc import (CapExceeded, CorrelatedSweep, EnsembleSpec, LocalStructure, Region,
                   Uncorrelated, build_swap_matrix, complete_structure, connected_components,
                   fixed_space_dimension, path_structure, spectral_gap_swap)
-from lrqc.swapcore import MATRIX_BYTE_BUDGET, RANK_TOL, _matrix_bytes
+from lrqc.swapcore import (MATRIX_BYTE_BUDGET, RANK_TOL, _gram_conjugate, _matrix_bytes,
+                           gram_symmetric_step)
 
 
 def dense_gap_reference(matrix, d, tol=RANK_TOL):
@@ -43,30 +44,35 @@ class _Records(logging.Handler):
         self.records.append(record)
 
 
-def logged_gap(spec):
-    """The gap and the arguments of the one DEBUG record the solver logs for it."""
+def logged(fn, *args):
+    """fn(*args) and the arguments of the one DEBUG record it logs."""
     logger, handler = logging.getLogger("lrqc"), _Records()
     level = logger.level
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
     try:
-        gap = spectral_gap_swap(spec)
+        value = fn(*args)
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
     (record,) = handler.records
-    return gap, record.args  # iterations, residual, fixed dimension used, predicted
+    return value, record.args
+
+
+def logged_gap(spec):
+    """The gap and the arguments of the one DEBUG record the solver logs for it."""
+    return logged(spectral_gap_swap, spec)  # iterations, residual, fixed dimension used, predicted
 
 
 @st.composite
-def ensembles(draw):
+def ensembles(draw, sweeps=True):
     n = draw(st.integers(2, 7))
     sites = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True)
     regions = tuple(Region.of(s, n) for s in draw(st.lists(sites, min_size=1, max_size=6)))
     raw = draw(st.lists(st.integers(0, 3), min_size=len(regions), max_size=len(regions))
                .filter(any))
     weights = tuple(w / sum(raw) for w in raw)
-    if draw(st.booleans()):
+    if not sweeps or draw(st.booleans()):
         policy = Uncorrelated()
     else:
         policy = CorrelatedSweep(tuple(draw(st.permutations(range(len(regions))))))
@@ -137,6 +143,47 @@ class TestGateAdjointIdentity:
 def test_gap_logs_nothing_by_default(capsys):
     spectral_gap_swap(EnsembleSpec(path_structure(5), Uncorrelated(), 2))
     assert capsys.readouterr() == ("", "")
+
+
+class TestGramSymmetricStep:
+    """The fixed-space route of ``fixcheck``: an uncorrelated step is self-adjoint, so in
+    Gram coordinates B = C^T M C^-T it is symmetric, and eigvalsh counts its fixed space."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ensembles(sweeps=False))
+    @example(_spec(7, [[0, 1, 2], [2, 3], [5, 6]], (0.5, 0.0, 0.5), d=3))  # zero weight, site 4
+    @example(_spec(5, [[0], [3]]))  # nothing straddled: M = I
+    def test_matches_dense_kronecker_and_svd(self, spec):
+        matrix, n, d = build_swap_matrix(spec), spec.structure.n, spec.d
+        eye = np.eye(matrix.shape[0])
+        chol = np.ones((1, 1))
+        for _ in range(n):
+            chol = np.kron(chol, np.linalg.cholesky(np.array([[1.0, 1.0 / d], [1.0 / d, 1.0]])))
+        b = _gram_conjugate(matrix, d)
+        assert np.abs(b - chol.T @ matrix @ np.linalg.inv(chol).T).max() <= 1e-13
+        assert np.abs(b - b.T).max() <= 1e-14
+        sym = gram_symmetric_step(matrix, d)
+        assert np.array_equal(sym, sym.T)
+        moduli = np.sort(np.abs(np.linalg.eigvalsh(sym - eye)))
+        assert np.abs(moduli - np.sort(np.abs(np.linalg.eigvals(matrix - eye)))).max() <= 1e-10
+        count, (used, solver, _, _) = logged(fixed_space_dimension, sym)
+        assert solver == "eigvalsh"
+        svd_count = int(np.sum(np.linalg.svd(matrix - eye, compute_uv=False) <= RANK_TOL))
+        assert used == count == svd_count
+
+    def test_logs_solver_count_and_margins(self):
+        matrix = build_swap_matrix(EnsembleSpec(path_structure(4), Uncorrelated(), 2))
+        count, (used, solver, zero, nonzero) = logged(fixed_space_dimension, matrix)
+        assert (count, used, solver) == (2, 2, "svd")
+        assert zero <= RANK_TOL < 1e3 * RANK_TOL < nonzero
+        count, (used, solver, zero, nonzero) = logged(fixed_space_dimension, np.eye(3))
+        assert (count, used, solver, zero, nonzero) == (3, 3, "eigvalsh", 0.0, None)
+
+    def test_logs_nothing_by_default(self, capsys):
+        matrix = build_swap_matrix(EnsembleSpec(path_structure(5), Uncorrelated(), 2))
+        fixed_space_dimension(gram_symmetric_step(matrix, 2))
+        fixed_space_dimension(matrix)
+        assert capsys.readouterr() == ("", "")
 
 
 class TestMatrixByteBudget:

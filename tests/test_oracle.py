@@ -199,7 +199,7 @@ class TestMcPurity:
         spec = EnsembleSpec(path_structure(3), Uncorrelated(), 2)
         cfg = OracleConfig(seed=41, samples=257, d=2, n=3)
         whole = mc_purity_trajectory(spec, Region.of([0], 3), 2, cfg)
-        monkeypatch.setattr("lrqc.oracle._CHUNK_ELEMENTS", 64)
+        monkeypatch.setattr("lrqc.oracle._CHUNK_BYTES", 1 << 15)  # a few samples per chunk
         sliced = mc_purity_trajectory(spec, Region.of([0], 3), 2, cfg)
         for a, b in zip(whole, sliced):
             assert abs(a.mean - b.mean) <= 1e-14
@@ -430,9 +430,7 @@ def _reference_simulate(spec, k_max, cfg, consume):
     elif isinstance(pol, Markov):
         cum_init = np.cumsum(pol.initial)
         cum_rows = [np.cumsum(row) for row in pol.matrix]
-    chunk = max(1, min(cfg.samples, oracle._CHUNK_ELEMENTS // dim))
-    for lo in range(0, cfg.samples, chunk):
-        hi = min(lo + chunk, cfg.samples)
+    for lo, hi in oracle._chunks(cfg, 0):
         rngs = [np.random.default_rng((cfg.seed, 0, s)) for s in range(lo, hi)]
         c = hi - lo
         states = np.zeros((c, dim), dtype=complex)
@@ -517,9 +515,7 @@ def _reference_design_distance(spec, region, k, t, cfg):
     circ_mean = (halves[0] + halves[1]) / cfg.samples
     dim = cfg.d**cfg.n
     haar_halves = [np.zeros((dmt, dmt), dtype=complex) for _ in range(2)]
-    chunk = max(1, min(cfg.samples, oracle._CHUNK_ELEMENTS // dim))
-    for lo in range(0, cfg.samples, chunk):
-        hi = min(lo + chunk, cfg.samples)
+    for lo, hi in oracle._chunks(cfg, 0):
         z = np.stack([np.random.default_rng((cfg.seed, 1, s)).standard_normal((2, dim))
                       for s in range(lo, hi)])
         states = z[:, 0, :] + 1j * z[:, 1, :]
@@ -564,7 +560,8 @@ class TestEnginePinnedToReference:
     def case(self, request, monkeypatch):
         spec = _engine_specs()[request.param]
         n, d = spec.structure.n, spec.d
-        monkeypatch.setattr("lrqc.oracle._CHUNK_ELEMENTS", 4 * d**n)
+        monkeypatch.setattr("lrqc.oracle._chunks", lambda cfg, extra: (
+            (lo, min(lo + 4, cfg.samples)) for lo in range(0, cfg.samples, 4)))
         return spec, OracleConfig(seed=31, samples=self.samples, d=d, n=n)
 
     def test_pick_on_ties_and_rounding(self):
@@ -726,3 +723,44 @@ class TestDistanceMemory:
         finally:
             tracemalloc.stop()
         assert peak <= oracle._REDUCE_BYTES + output + states
+
+
+class TestChunkBudget:
+    """A chunk is sized by every byte a sample holds: its state with the working
+    copies, its generator, and under a sweep the step's Gaussian block."""
+
+    def test_sweep_peak_within_budget(self, monkeypatch):
+        from lrqc import oracle
+        n, samples, k = 5, 600, 3
+        spec = EnsembleSpec(complete_structure(n), CorrelatedSweep(tuple(range(10))), 2)
+        cfg = OracleConfig(seed=1, samples=samples, d=2, n=n)
+        region = Region.of([0, 1], n)
+        # allocations of a first call that later calls reuse
+        mc_purity_trajectory(spec, region, 1, OracleConfig(seed=1, samples=2, d=2, n=n))
+        monkeypatch.setattr("lrqc.oracle._CHUNK_BYTES", 1 << 18)
+        assert len(list(oracle._chunks(cfg, 0))) >= 10
+        tracemalloc.start()
+        try:
+            mc_purity_trajectory(spec, region, k, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= oracle._CHUNK_BYTES + 8 * (k + 1) * samples  # budget plus the output
+
+    @pytest.mark.parametrize("structure, samples, policy", [
+        (path_structure(12), 300, Uncorrelated()),
+        (path_structure(5), 10000, Uncorrelated()),
+        (complete_structure(5), 5000, CorrelatedSweep(tuple(range(10)))),
+    ])
+    def test_default_budget_keeps_one_chunk(self, monkeypatch, structure, samples, policy):
+        from lrqc import oracle
+        chunks, real = [], oracle._chunks
+
+        def recorded(cfg, extra):
+            chunks.extend(real(cfg, extra))
+            return iter(chunks)
+        monkeypatch.setattr("lrqc.oracle._chunks", recorded)
+        n = structure.n
+        cfg = OracleConfig(seed=1, samples=samples, d=2, n=n)
+        mc_purity_trajectory(EnsembleSpec(structure, policy, 2), Region.of([0, 1], n), 1, cfg)
+        assert chunks == [(0, samples)]

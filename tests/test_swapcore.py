@@ -434,3 +434,17 @@ class TestRankAmbiguity:
     def test_clean_spectrum_resolves(self):
         mat = np.diag([1.0, 0.5, 0.25, 1.0])
         assert fixed_space_dimension(mat) == 2
+
+    def test_non_symmetric_band_value_raises(self):
+        """The singular-value route keeps the band: a non-symmetric input skips eigvalsh."""
+        from lrqc import NumericalAmbiguityError
+        mat = np.eye(4)
+        mat[0, 0] = 1.0 - 1e-7
+        mat[2, 3] = 0.5  # not symmetric; singular values of mat - I are 0.5, 1e-7, 0, 0
+        with pytest.raises(NumericalAmbiguityError):
+            fixed_space_dimension(mat)
+
+    def test_non_symmetric_clean_spectrum_resolves(self):
+        mat = np.eye(4)
+        mat[2, 3] = 0.5
+        assert fixed_space_dimension(mat) == 3
