@@ -30,7 +30,7 @@ from .errors import CapExceeded
 from .oracle import OracleConfig, mc_purity_trajectory
 from .path1d import PathParams, purity_exact, spectrum
 from .regions import Region
-from .swapcore import (CorrelatedSweep, EnsembleSpec, LocalStructure, Uncorrelated,
+from .swapcore import (EnsembleSpec, LocalStructure, Uncorrelated,
                        build_swap_matrix, connected_components, fixed_space_dimension,
                        gram_symmetric_step, purity_infinity, purity_trajectory,
                        spectral_gap_swap)
@@ -160,6 +160,8 @@ def cmd_path1d(cfg: ExperimentConfig) -> ResultTable:
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     k_max = run_int(cfg, "k_max")
+    if k_max < 0:
+        raise ValidationError("run.k_max must be >= 0")
     data = spectrum(params)
     ep = entangling_power(d)
     window = min(params.l, params.L - params.l)
@@ -178,26 +180,17 @@ def cmd_path1d(cfg: ExperimentConfig) -> ResultTable:
 
 
 def cmd_gap(cfg: ExperimentConfig) -> ResultTable:
-    kind = cfg.policy.get("kind")
-    if kind not in ("uncorrelated", "sweep"):
-        raise ValidationError("the gap command supports uncorrelated and sweep policies")
     if "family" in cfg.model:
         instances = family_structures(cfg.model)
     else:
         structure = structure_from_model(cfg.model)
         instances = [(structure.n, structure)]
-    ns, labels, gaps = [], [], []
-    for n, structure in instances:
-        spec = spec_from_config(cfg, structure)
-        gap = spectral_gap_swap(spec)
-        ns.append(n)
-        if isinstance(spec.policy, CorrelatedSweep):
-            raw = cfg.policy.get("order")
-            labels.append(raw if isinstance(raw, str) else ",".join(map(str, spec.policy.order)))
-        else:
-            labels.append("")
-        gaps.append(gap)
-    return ResultTable({"n": ns, "policy": [kind] * len(ns), "permutation": labels, "gap": gaps})
+    gaps = [spectral_gap_swap(spec_from_config(cfg, structure)) for _, structure in instances]
+    kind = cfg.policy["kind"]
+    order = cfg.policy["order"] if kind == "sweep" else ""
+    label = order if isinstance(order, str) else ",".join(map(str, order))
+    return ResultTable({"n": [n for n, _ in instances], "policy": [kind] * len(gaps),
+                        "permutation": [label] * len(gaps), "gap": gaps})
 
 
 def cmd_oracle(cfg: ExperimentConfig) -> ResultTable:
@@ -256,6 +249,8 @@ _BOUNDS = {
 }
 # the second form of area_law, chosen when the request names a target region
 _AREA_LAW_AT_TARGET = (_area_law_at_target, ("target", "d", "k"), ())
+# parameters that must be JSON integers; every other one but target must be a JSON number
+_INTEGER_PARAMETERS = {"d", "k", "t", "region_size", "n", "num_regions"}
 
 
 def _bound_row(request: Any, cfg: ExperimentConfig) -> tuple[str, BoundReport]:
@@ -267,10 +262,17 @@ def _bound_row(request: Any, cfg: ExperimentConfig) -> tuple[str, BoundReport]:
         raise ValidationError(f"unknown bound request {name!r}")
     at_target = name == "area_law" and "target" in request
     function, required, optional = _AREA_LAW_AT_TARGET if at_target else _BOUNDS[name]
-    args = [request.pop(key) for key in required] + [request.pop(key, None) for key in optional]
+    args = {key: request.pop(key) for key in required}
+    args.update((key, request.pop(key)) for key in optional if key in request)
     if request:
         raise ValidationError(f"unknown keys in bound request {name!r}: {sorted(request)}")
-    return name, function(cfg, *args)
+    for key, value in args.items():
+        integer = key in _INTEGER_PARAMETERS
+        if key != "target" and (isinstance(value, bool) or
+                                not isinstance(value, int if integer else (int, float))):
+            raise ValidationError(f"bound request {name!r}: {key} must be "
+                                  f"{'an integer' if integer else 'a number'}, got {value!r}")
+    return name, function(cfg, *(args.get(key) for key in required + optional))
 
 
 def cmd_bounds(cfg: ExperimentConfig) -> ResultTable:

@@ -43,6 +43,10 @@ class ExperimentConfig:
         for section in ("model", "policy"):
             if section not in raw:
                 raise ValidationError(f"config is missing the '{section}' section")
+        for section, value in raw.items():
+            if not isinstance(value, dict):
+                raise ValidationError(f"config section '{section}' must be an object, "
+                                      f"got {value!r}")
         cfg = cls(model=dict(raw["model"]), policy=dict(raw["policy"]),
                   run=dict(raw.get("run", {})), output=dict(raw.get("output", {})))
         for keys, section, name in ((_MODEL_KEYS, cfg.model, "model"),
@@ -117,12 +121,14 @@ def structure_from_model(model: dict[str, Any]) -> LocalStructure:
 def family_structures(model: dict[str, Any]) -> list[tuple[int, LocalStructure]]:
     """Structures of a named family over a list of sizes (gap command)."""
     family = _require(model, "family", "gap model")
+    if not isinstance(family, dict):
+        raise ValidationError(f"model.family must be an object, got {family!r}")
     kind = _require(family, "kind", "model.family")
     sizes = _require(family, "sizes", "model.family")
     if not isinstance(sizes, list) or not sizes or not all(_is_int(s) for s in sizes):
         raise ValidationError("model.family.sizes must be a nonempty list of integers")
     builders = {"path": path_structure, "complete": complete_structure}
-    if kind not in builders:
+    if not isinstance(kind, str) or kind not in builders:
         raise ValidationError(f"unknown family kind {kind!r}; expected one of {sorted(builders)}")
     try:
         return [(n, builders[kind](n)) for n in sizes]

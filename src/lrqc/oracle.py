@@ -220,6 +220,13 @@ def _pick(cum: list[float], u: float) -> int:
     return min(bisect.bisect_right(cum, u), len(cum) - 1)
 
 
+def _cumulative(weights) -> list[float]:
+    """Cumulative weights cut after the first entry equal to the total, so that ``_pick``'s
+    fallback to the last index never lands on a trailing region of weight zero."""
+    cum = np.cumsum(weights).tolist()
+    return cum[:cum.index(cum[-1]) + 1]
+
+
 def _region_draws(spec: EnsembleSpec, k: int):
     """A sweep's pass in gate order (None for drawn regions), and a per-stream
     generator of k steps' region indices in gate order.
@@ -233,10 +240,10 @@ def _region_draws(spec: EnsembleSpec, k: int):
         gates = tuple(reversed(pol.order))
         return gates, lambda stream: (r for _ in range(k) for r in gates)
     if isinstance(pol, Uncorrelated):
-        cums = [np.cumsum(spec.step_weights(j)).tolist() for j in range(k)]
+        cums = [_cumulative(spec.step_weights(j)) for j in range(k)]
         return None, lambda stream: (_pick(cum, stream.random()) for cum in cums)
-    cum_init = np.cumsum(pol.initial).tolist()
-    cum_rows = [np.cumsum(row).tolist() for row in pol.matrix]
+    cum_init = _cumulative(pol.initial)
+    cum_rows = [_cumulative(row) for row in pol.matrix]
 
     def markov(stream: np.random.Generator):
         cum = cum_init

@@ -30,6 +30,7 @@ RANK_TOL = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
 _LANCZOS_TOL = 1e-13  # Ritz residual bound; B^T B has norm at most 1
 _SITE_BLOCK_BYTES = 1 << 19  # rows of a batch mapped together by _on_sites
+_OBJECT_BYTES = 16 << 10  # arrays' headers and other small objects of one build: about 8 KiB
 
 _log = logging.getLogger("lrqc")
 
@@ -272,14 +273,28 @@ def _apply(state, rmap: tuple, tol: float):
     return _mix([(1.0, _emit(state, rmap))], tol)
 
 
+def _stages(spec: EnsembleSpec, step_index: int | None = None) -> list[list[tuple[float, int]]]:
+    """One ensemble step as stages in the order their maps act on swaps, each stage the mixture
+    of its (weight, region index) pairs: one per region of a sweep, in its order, with weight 1,
+    or one over the regions of positive weight at that uncorrelated step.  ``step_index=None``
+    asks for the single time-independent step, which Markov and per-step weights lack."""
+    pol = spec.policy
+    if isinstance(pol, CorrelatedSweep):
+        return [[(1.0, idx)] for idx in pol.order]
+    if step_index is None:
+        if isinstance(pol, Markov):
+            raise ValueError("a Markov ensemble is not a single linear map on the swap basis")
+        if pol.step_weights is not None:
+            raise ValueError("time-dependent weights do not define a single step matrix")
+        step_index = 0
+    return [[(q, idx) for idx, q in enumerate(spec.step_weights(step_index)) if q]]
+
+
 def _step(state, spec: EnsembleSpec, maps: list[tuple], step_index: int, tol: float):
     """One index step of an uncorrelated or correlated-sweep ensemble on an array state."""
-    if isinstance(spec.policy, CorrelatedSweep):
-        for idx in spec.policy.order:
-            state = _apply(state, maps[idx], tol)
-        return state
-    weights = spec.step_weights(step_index)
-    return _mix(((q, _emit(state, rmap)) for q, rmap in zip(weights, maps) if q), tol)
+    for stage in _stages(spec, step_index):
+        state = _mix(((q, _emit(state, maps[idx])) for q, idx in stage), tol)
+    return state
 
 
 def _to_state(v: SwapVector, n: int):
@@ -438,22 +453,6 @@ def purity_infinity(initial: Region, structure: LocalStructure, d: int) -> float
 # Dense matrix form, fixed-space dimension, spectral gap
 # ---------------------------------------------------------------------------
 
-def _require_single_step(spec: EnsembleSpec) -> None:
-    pol = spec.policy
-    if isinstance(pol, Markov):
-        raise ValueError("a Markov ensemble is not a single linear map on the swap basis")
-    if isinstance(pol, Uncorrelated) and pol.step_weights is not None:
-        raise ValueError("time-dependent weights do not define a single step matrix")
-
-
-def _acting_regions(spec: EnsembleSpec) -> tuple[Region, ...]:
-    """The regions a step applies: all of them in a sweep, those of positive weight otherwise."""
-    st = spec.structure
-    if isinstance(spec.policy, CorrelatedSweep):
-        return st.regions
-    return tuple(r for q, r in zip(st.weight_vector(), st.regions) if q)
-
-
 def _factor(region: Region, d: int, q: float = 1.0) -> tuple[np.ndarray, ...]:
     """A gate on ``region`` over all 2^n swaps: ``_scatter``'s (source, target, q * weight)."""
     src, dst, weight = _scatter(np.arange(1 << region.n, dtype=np.uint64), *_region_map(region, d))
@@ -461,16 +460,12 @@ def _factor(region: Region, d: int, q: float = 1.0) -> tuple[np.ndarray, ...]:
 
 
 def _step_factors(spec: EnsembleSpec) -> list[tuple[np.ndarray, ...]]:
-    """One ensemble step on all 2^n swaps as sparse factors, in the order they act.
-
-    An uncorrelated step is one factor, the weighted concatenation of every region of
-    positive weight; a correlated sweep has one factor per region, in the policy's order.
-    """
-    st = spec.structure
-    if isinstance(spec.policy, CorrelatedSweep):
-        return [_factor(st.regions[idx], spec.d) for idx in spec.policy.order]
-    pieces = [_factor(r, spec.d, q) for q, r in zip(st.weight_vector(), st.regions) if q]
-    return [tuple(np.concatenate(p) for p in zip(*pieces))]
+    """The single step on all 2^n swaps as sparse factors in the order they act, one per
+    stage: the weighted concatenation of the stage's regions."""
+    regions = spec.structure.regions
+    return [tuple(np.concatenate(p) for p in zip(*(_factor(regions[idx], spec.d, q)
+                                                     for q, idx in stage)))
+            for stage in _stages(spec)]
 
 
 def _apply_factors(factors: list, x: np.ndarray) -> np.ndarray:
@@ -483,38 +478,36 @@ def _apply_factors(factors: list, x: np.ndarray) -> np.ndarray:
 def _matrix_bytes(spec: EnsembleSpec) -> int:
     """Peak bytes ``build_swap_matrix`` holds, counted from the region sizes alone."""
     dim = 1 << spec.structure.n
+    regions = spec.structure.regions
     # a region of s sites fixes 2 dim / 2^s masks; each straddled mask emits two entries
-    entries = [2 * dim - (dim >> (r.size - 1)) for r in _acting_regions(spec)]
-    if isinstance(spec.policy, CorrelatedSweep):
-        # factors, then per region: old and new product, flat indices, gathered and weighted rows
-        return 24 * sum(entries) + max(16 * dim * dim + 24 * e * dim for e in entries)
-    # pieces and their concatenation, then the output beside the flat indices
-    return 8 * dim * dim + 48 * sum(entries)
+    first, *later = [sum(2 * dim - (dim >> (regions[idx].size - 1)) for _, idx in stage)
+                     for stage in _stages(spec)]
+    # the factors; then the first factor's pieces beside it, or the output beside its flat
+    # indices; then per later factor: old and new product, flat indices, gathered and weighted
+    # rows; and throughout, numpy's two broadcasting buffers and the interpreter's own objects
+    return (24 * (first + sum(later)) + max([24 * first + 8 * dim * dim] +
+                                            [16 * dim * dim + 24 * e * dim for e in later])
+            + 16 * np.getbufsize() + _OBJECT_BYTES)
 
 
 def build_swap_matrix(spec: EnsembleSpec) -> np.ndarray:
     """Dense 2^n x 2^n matrix of one ensemble step on the swap basis.
 
     Column A (regions indexed by their masks) holds the coefficients of the
-    evolved swap of A.  An uncorrelated step scatters its one factor straight
-    into it; a correlated sweep row-scatters each factor onto the running
-    product.  Markov policies have no single step matrix.  A build whose
-    arrays would exceed ``MATRIX_BYTE_BUDGET`` is refused before anything is
-    allocated.
+    evolved swap of A.  The first factor is scattered straight into it; each
+    later one is row-scattered onto the running product.  Markov policies and
+    per-step weights have no single step matrix.  A build whose arrays would
+    exceed ``MATRIX_BYTE_BUDGET`` is refused before anything is allocated.
     """
     n = spec.structure.n
-    _require_single_step(spec)
     need = _matrix_bytes(spec)
     if need > MATRIX_BYTE_BUDGET:
         raise CapExceeded(f"a {n}-site step matrix build needs {need} bytes, "
                           f"over the budget of {MATRIX_BYTE_BUDGET} bytes")
-    factors = _step_factors(spec)
+    (src, dst, weight), *later = _step_factors(spec)
     dim = 1 << n
-    if isinstance(spec.policy, Uncorrelated):
-        src, dst, weight = factors[0]
-        return np.bincount(dst * dim + src, weights=weight, minlength=dim * dim).reshape(dim, dim)
-    out = np.eye(dim)
-    for src, dst, weight in factors:
+    out = np.bincount(dst * dim + src, weights=weight, minlength=dim * dim).reshape(dim, dim)
+    for src, dst, weight in later:
         flat = (dst[:, None] * dim + np.arange(dim)).ravel()
         out = np.bincount(flat, weights=(weight[:, None] * out[src]).ravel(),
                           minlength=dim * dim).reshape(dim, dim)
@@ -616,11 +609,11 @@ def spectral_gap_swap(spec: EnsembleSpec) -> float:
     the Ritz residual of the largest value is below ``_LANCZOS_TOL``.
     """
     n = spec.structure.n
+    acting = [spec.structure.regions[idx] for stage in _stages(spec) for _, idx in stage]
     if n > GAP_MAX_SITES:  # kept until the solver budgets its own bytes
         raise CapExceeded(f"the spectral gap is capped at {GAP_MAX_SITES} sites, got {n}")
-    _require_single_step(spec)
     step = _step_factors(spec)
-    fixed = connected_components(LocalStructure(n, _acting_regions(spec)))
+    fixed = connected_components(LocalStructure(n, acting))
     twirls = [_factor(component, spec.d) for component in fixed.components]
     chol, inv_t = _site_maps(spec.d)
 

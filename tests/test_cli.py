@@ -114,6 +114,15 @@ class TestPath1d:
         assert run_cli(tmp_path, "path1d", cfg) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["path1d", "evolve"])
+    def test_negative_k_max_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "chain.csv"
+        cfg = base_config(str(out), model={"n": 6, "regions": [[0, 1], [1, 2]]},
+                          run={"k_max": -1})
+        assert run_cli(tmp_path, command, cfg) == 2
+        assert "k_max must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGap:
     def test_uncorrelated_matches_chain_formula(self, tmp_path):
@@ -161,6 +170,19 @@ class TestGap:
             "output": {"path": str(out)},
         }
         assert run_cli(tmp_path, "gap", cfg) == 2
+
+    @pytest.mark.parametrize("size", [3, 16])
+    def test_markov_family_rejected_before_the_cap(self, tmp_path, capsys, size):
+        out = tmp_path / "gap.csv"
+        m = size - 1
+        cfg = {
+            "model": {"n": size, "d": 2, "family": {"kind": "path", "sizes": [size]}},
+            "policy": {"kind": "markov", "initial": [1 / m] * m, "matrix": [[1 / m] * m] * m},
+            "output": {"path": str(out)},
+        }
+        assert run_cli(tmp_path, "gap", cfg) == 2
+        assert capsys.readouterr().err.startswith("error: a Markov ensemble")
+        assert not out.exists()
 
     def test_empty_family_rejected(self, tmp_path, capsys):
         out = tmp_path / "gap.csv"
@@ -335,6 +357,17 @@ class TestBoundsCmd:
         {"name": "area_law", "target": [0, 1], "pX": 0.5, "d": 2, "k": 3},
         {"name": ["area_law"], "pX": 0.5, "pXtilde": 0.25, "d": 2, "k": 3},
         5,
+        # every parameter but target is a JSON number, and d, k, t, region_size, n and
+        # num_regions are JSON integers
+        {"name": "area_law", "pX": "a", "pXtilde": 0.25, "d": 2, "k": 3},
+        {"name": "area_law", "pX": True, "pXtilde": 0.25, "d": 2, "k": 3},
+        {"name": "entangling_power", "d": "2"},
+        {"name": "entangling_power", "d": 2.5},
+        {"name": "t_design", "region_size": 2, "alpha": 0.5, "t": 2, "d": None},
+        {"name": "t_design", "region_size": 2, "alpha": 0.5, "t": 2, "d": 2, "epsilon": None},
+        {"name": "correlated_convergence", "gap": 0.3, "n": 6, "epsilon": "x"},
+        {"name": "first_moment_convergence", "omega_norm": 2.0, "a_norm": 1.5, "epsilon": 0.01,
+         "q_min": 0.25, "num_regions": 4.0},
     ])
     def test_malformed_request_rejected(self, tmp_path, capsys, request_):
         out = tmp_path / "bounds.csv"
@@ -400,6 +433,25 @@ class TestValidation:
         cfg = base_config(str(out))
         cfg["extra"] = {}
         assert run_cli(tmp_path, "evolve", cfg) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section, value, message", [
+        ("evolve", "model", [["n", 5], ["d", 2], ["regions", [[0, 1]]]], "section 'model'"),
+        ("evolve", "policy", [["kind", "uncorrelated"]], "section 'policy'"),
+        ("evolve", "run", None, "section 'run'"),
+        ("evolve", "output", None, "section 'output'"),
+        ("gap", "model", {"n": 4, "d": 2, "family": 5}, "model.family must be an object"),
+        ("gap", "model", {"n": 4, "d": 2, "family": None}, "model.family must be an object"),
+        ("gap", "model", {"n": 4, "d": 2, "family": {"kind": ["path"], "sizes": [3]}},
+         "unknown family kind"),
+    ])
+    def test_sections_must_be_objects(self, tmp_path, capsys, command, section, value, message):
+        out = tmp_path / "x.csv"
+        cfg = base_config(str(out))
+        cfg[section] = value
+        assert run_cli(tmp_path, command, cfg, extra=("--out", str(out))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not out.exists()
 
     def test_bad_weights(self, tmp_path):

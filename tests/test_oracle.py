@@ -145,6 +145,30 @@ class TestSampleRegions:
         want = [st.regions[i] for i in (1, 0, 2)] * 2
         assert seq == want
 
+    class _Uniform:
+        """A stream whose every uniform is the same number."""
+
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    # sums to 1 - 5e-13, within the weight tolerance; a uniform above that sum falls past every
+    # cumulative weight, and the draw must land on a region of positive weight
+    SHORT = (0.5, 0.5 - 5e-13, 0.0)
+
+    @pytest.mark.parametrize("policy, want", [
+        (Uncorrelated(), (1, 1)),
+        (Uncorrelated((SHORT, (0.25, 0.75 - 5e-13, 0.0))), (1, 1)),
+        (Markov(SHORT, (SHORT, SHORT, SHORT)), (1, 1)),
+        (Markov((0.0, 0.0, 1.0), (SHORT, SHORT, SHORT)), (2, 1)),  # region 2 drawn at weight 1
+    ], ids=["uncorrelated", "per-step", "markov", "markov-rows"])
+    def test_rounding_never_draws_a_zero_weight_region(self, policy, want):
+        st = LocalStructure(4, path_structure(4).regions, self.SHORT)
+        seq = sample_regions(EnsembleSpec(st, policy, 2), 2, self._Uniform(0.99999999999999))
+        assert seq == [st.regions[i] for i in want]
+
 
 class TestMcPurity:
     def test_zero_steps_exact(self):
