@@ -80,6 +80,14 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _numbers(value: Any, key: str) -> tuple:
+    """A list of JSON numbers as a tuple; true, false, strings and the rest name ``key``."""
+    if not isinstance(value, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
+        raise ValidationError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(value)
+
+
 def _require(section: dict[str, Any], key: str, what: str) -> Any:
     if key not in section:
         raise ValidationError(f"{what} requires '{key}'")
@@ -111,9 +119,7 @@ def structure_from_model(model: dict[str, Any]) -> LocalStructure:
     weights = model.get("weights")
     try:
         return LocalStructure(n, tuple(region_from_sites(r, n) for r in regions),
-                              None if weights is None else tuple(weights))
-    except TypeError as exc:
-        raise ValidationError(f"model.weights must be a list of numbers: {exc}") from exc
+                              None if weights is None else _numbers(weights, "model.weights"))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -152,17 +158,23 @@ def resolve_order(order: Any, num_regions: int) -> tuple[int, ...]:
     raise ValidationError(f"policy.order must be a permutation or one of {_ORDER_NAMES}, got {order!r}")
 
 
+def _rows(value: Any, key: str) -> tuple:
+    if not isinstance(value, list):
+        raise ValidationError(f"{key} must be a list of lists of numbers, got {value!r}")
+    return tuple(_numbers(row, f"{key}[{i}]") for i, row in enumerate(value))
+
+
 def policy_from_config(policy: dict[str, Any], num_regions: int):
     kind = _require(policy, "kind", "policy")
     if kind == "uncorrelated":
         step_weights = policy.get("step_weights")
         if step_weights is None:
             return Uncorrelated()
-        return Uncorrelated(tuple(tuple(w) for w in step_weights))
+        return Uncorrelated(_rows(step_weights, "policy.step_weights"))
     if kind == "markov":
         initial = _require(policy, "initial", "markov policy")
         matrix = _require(policy, "matrix", "markov policy")
-        return Markov(tuple(initial), tuple(tuple(row) for row in matrix))
+        return Markov(_numbers(initial, "policy.initial"), _rows(matrix, "policy.matrix"))
     if kind == "sweep":
         return CorrelatedSweep(resolve_order(_require(policy, "order", "sweep policy"), num_regions))
     raise ValidationError(f"unknown policy kind {kind!r}")

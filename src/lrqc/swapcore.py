@@ -5,13 +5,18 @@ one per site subset.  A single Haar-averaged gate on a local region either
 fixes a swap (when the region does not straddle its boundary) or splits it
 into two swaps with positive branch weights, so a state of the dynamics is a
 sparse positive combination of regions: a sorted, unique ``uint64`` mask
-array plus a ``float64`` coefficient array.  One vectorized kernel
-(``_scatter``) evolves such states and fills the dense step matrices;
-``SwapVector`` is the dict form at the API boundary.  Everything here is exact
-linear algebra; the Monte Carlo cross-check lives in ``lrqc.oracle``.
+array plus a ``float64`` coefficient array.  A step is a list of stages, each
+a weighted mixture of region maps, and each stage is one scatter and one
+merge: ``_scatter`` sends the state through a group of the stage's regions at
+once, and ``_mix`` adds the groups' images, in order, into a dense 2^n or a
+sorted accumulator under a byte budget.  The same scatter fills the dense
+step matrices; ``SwapVector`` is the dict form at the API boundary.
+Everything here is exact linear algebra; the Monte Carlo cross-check lives in
+``lrqc.oracle``.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -31,6 +36,9 @@ _WEIGHT_SUM_TOL = 1e-12
 _LANCZOS_TOL = 1e-13  # Ritz residual bound; B^T B has norm at most 1
 _SITE_BLOCK_BYTES = 1 << 19  # rows of a batch mapped together by _on_sites
 _OBJECT_BYTES = 16 << 10  # arrays' headers and other small objects of one build: about 8 KiB
+_MERGE_BYTES = 1 << 22  # bytes of one group's scattered image, or of a dense accumulator
+_MASK_BYTES = 256  # bytes a group's scatter and image hold per region and mask; ~100 measured
+_DENSE_RATIO = 16  # dense when 2^n is at most this many times a stage's entries
 
 _log = logging.getLogger("lrqc")
 
@@ -220,11 +228,16 @@ def alpha_coefficients(target: Region, local: Region, d: int) -> tuple[float, fl
     return _alpha(a, b, d)
 
 
-def _region_map(region: Region, d: int) -> tuple:
-    """Kernel tables of one region: mask, sites, and alpha_plus, alpha_minus indexed by |A & R|."""
-    s = region.size  # the entries for |A & R| = 0 and s belong to fixed swaps
-    table = [(0.0, 0.0)] + [_alpha(s - i, i, d) for i in range(1, s)] + [(0.0, 0.0)]
-    return (np.uint64(region.bits), region.sites(), *np.array(table).T)
+def _region_maps(regions: Sequence[Region], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel tables of the regions, one row each: the masks, and the weights by |A & R| of a
+    swap's first image (1 for a fixed swap, at 0 and the region size; alpha_plus between) and
+    of its second (alpha_minus), as an (m, 2, largest size + 1) array."""
+    table = np.zeros((len(regions), 2, max(r.size for r in regions) + 1))
+    for row, r in zip(table, regions):
+        s = r.size
+        row[0, [0, s]] = 1.0
+        row[:, 1:s] = np.array([_alpha(s - i, i, d) for i in range(1, s)]).T
+    return np.array([r.bits for r in regions], dtype=np.uint64), table
 
 
 def split_by_region(masks: np.ndarray, mask: np.uint64) -> tuple[np.ndarray, np.ndarray]:
@@ -234,43 +247,91 @@ def split_by_region(masks: np.ndarray, mask: np.uint64) -> tuple[np.ndarray, np.
     return np.flatnonzero(~hit), np.flatnonzero(hit)
 
 
-def _scatter(masks: np.ndarray, mask: np.uint64, sites, plus, minus) -> tuple[np.ndarray, ...]:
-    """Where one Haar-averaged gate sends the swaps of ``masks``: distinct (target, source) pairs.
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
-    Parallel arrays (source index, target mask, weight): a fixed swap goes to itself with
-    weight 1, a straddled swap A to A - R and A | R with alpha_plus and alpha_minus.
+
+def _byte_popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each ``uint64``, counted byte by byte: numpy 1.x lacks ``np.bitwise_count``."""
+    return _BYTE_BITS[x.view(np.uint8)].reshape(x.shape + (8,)).sum(axis=-1)
+
+
+_popcount = getattr(np, "bitwise_count", _byte_popcount)
+
+
+def _scatter(masks: np.ndarray, maps: tuple, idx: list[int]) -> tuple[np.ndarray, ...]:
+    """Where the gates on regions ``idx`` send the swaps of ``masks``, a sorted mask array.
+
+    A fixed swap goes to itself with weight 1, a straddled swap A to A - R with alpha_plus
+    and to A | R with alpha_minus.  Returns the first images of all swaps as (G, S) target
+    and weight arrays, one row per region in ``idx`` order, and the second images of the
+    straddled swaps as (row, source index, target, weight) arrays, row by row.  Laid out
+    region by region, each row followed by its second images, every target receives its
+    terms in the order that the kept swaps, then all A - R, then all A | R would give it:
+    the masks are sorted, so a kept swap comes before the larger swaps that erase onto it.
     """
-    kept, moved = split_by_region(masks, mask)
-    hit = masks[moved]
-    # |A & R| summed over the region's own sites; np.bitwise_count would need numpy 2
-    inter = sum((hit >> np.uint64(s)) & np.uint64(1) for s in sites)
-    src = np.concatenate((kept, moved, moved))
-    dst = np.concatenate((masks[kept], hit & ~mask, hit | mask))
-    weight = np.concatenate((np.ones(kept.size), plus[inter], minus[inter]))
-    return src, dst, weight
+    bits, table = maps[0][idx], maps[1][idx]
+    inter = masks & bits[:, None]
+    key = _popcount(inter) + table.shape[2] * np.arange(len(idx))[:, None]  # row, |A & R|
+    straddled = (inter != 0) & (inter != bits[:, None])
+    hit = np.flatnonzero(straddled)
+    row, src = np.divmod(hit, masks.size)
+    dst = np.where(straddled, masks ^ inter, masks)
+    second = (row, src, masks[src] | bits[row], table[:, 1].take(key.ravel()[hit]))
+    return dst, table[:, 0].take(key), second
 
 
-def _emit(state, rmap: tuple):
-    """One gate's image of an array state, before equal masks are merged."""
-    src, dst, weight = _scatter(state[0], *rmap)
-    return dst, state[1][src] * weight
+def _region_major(first: np.ndarray, second: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The rows of ``first``, each followed by the entries of ``second`` in that row."""
+    ends = [0, *np.searchsorted(row, np.arange(1, len(first))).tolist(), second.size]
+    return np.concatenate([part for g, f in enumerate(first)
+                           for part in (f, second[ends[g]:ends[g + 1]])])
 
 
-def _mix(weighted_states, tol: float):
-    """The combination of (weight, state) pairs, pruned at ``tol``.
+def _image(state, maps: tuple, group: list[tuple[float, int]]) -> tuple[np.ndarray, ...]:
+    """The gate images of ``state`` under a group of (weight, region index) pairs, before equal
+    masks are merged: target masks and weighted terms, region by region."""
+    q, idx = zip(*group)
+    masks, coefs = state
+    dst, weight, (row, src, dst2, weight2) = _scatter(masks, maps, list(idx))
+    q = np.array(q)
+    terms, terms2 = q[:, None] * (coefs * weight), q[row] * (coefs[src] * weight2)
+    return _region_major(dst, dst2, row), _region_major(terms, terms2, row)
 
-    States are merged into the sum as they arrive, so one unmerged state is held at a time.
+
+def _mix(images, entries: int, n: int, tol: float):
+    """The sum of images (target masks, terms) over n sites, pruned at ``tol``: the one merge
+    of a stage's groups and of ``markov_purity``'s branch mixtures.
+
+    ``entries`` is a lower bound on the number of terms.  When 2^n is at most
+    ``_DENSE_RATIO`` times that and its 2^n doubles fit ``_MERGE_BYTES``, each image is
+    added into a 2^n accumulator by ``np.add.at``; otherwise it is merged into a sorted
+    accumulator by ``np.unique`` and ``np.bincount``, whose passes also hold a few words per
+    mask already summed.  Both add terms in array order, so every mask's sum is 0 plus its
+    terms in the order they arrive, whatever the grouping and whichever accumulator.
     """
+    dim = 1 << n
+    if dim <= _DENSE_RATIO * entries and 8 * dim <= _MERGE_BYTES:
+        acc = np.zeros(dim)
+        for m, t in images:
+            np.add.at(acc, m, t)
+        masks = np.flatnonzero((acc > tol) | (acc < -tol))
+        return masks.view(np.uint64), acc[masks]
     masks, coefs = np.empty(0, dtype=np.uint64), np.empty(0)
-    for w, (m, c) in weighted_states:
+    for m, t in images:
         masks, inverse = np.unique(np.concatenate((masks, m)), return_inverse=True)
-        coefs = np.bincount(inverse, weights=np.concatenate((coefs, w * c)), minlength=masks.size)
+        coefs = np.bincount(inverse, weights=np.concatenate((coefs, t)), minlength=masks.size)
     keep = np.abs(coefs) > tol
     return masks[keep], coefs[keep]
 
 
-def _apply(state, rmap: tuple, tol: float):
-    return _mix([(1.0, _emit(state, rmap))], tol)
+def _apply_stage(state, maps: tuple, stage: list[tuple[float, int]], n: int, tol: float):
+    """One stage, the mixture of its (weight, region index) pairs, on an array state.
+
+    Regions are scattered in groups whose images fit ``_MERGE_BYTES``, one merge per stage.
+    """
+    size = max(1, _MERGE_BYTES // (_MASK_BYTES * max(1, state[0].size)))
+    images = (_image(state, maps, stage[lo:lo + size]) for lo in range(0, len(stage), size))
+    return _mix(images, len(stage) * state[0].size, n, tol)
 
 
 def _stages(spec: EnsembleSpec, step_index: int | None = None) -> list[list[tuple[float, int]]]:
@@ -290,18 +351,20 @@ def _stages(spec: EnsembleSpec, step_index: int | None = None) -> list[list[tupl
     return [[(q, idx) for idx, q in enumerate(spec.step_weights(step_index)) if q]]
 
 
-def _step(state, spec: EnsembleSpec, maps: list[tuple], step_index: int, tol: float):
+def _step(state, spec: EnsembleSpec, maps: tuple, step_index: int, tol: float):
     """One index step of an uncorrelated or correlated-sweep ensemble on an array state."""
     for stage in _stages(spec, step_index):
-        state = _mix(((q, _emit(state, maps[idx])) for q, idx in stage), tol)
+        state = _apply_stage(state, maps, stage, spec.structure.n, tol)
     return state
 
 
 def _to_state(v: SwapVector, n: int):
+    """The array state of a vector: its masks sorted, as the kernel needs them."""
     if v.n != n:
         raise ValueError(f"region universe {v.n} does not match n={n}")
-    return (np.array([r.bits for r in v.terms], dtype=np.uint64),
-            np.array(list(v.terms.values()), dtype=float))
+    masks = np.array([r.bits for r in v.terms], dtype=np.uint64)
+    order = np.argsort(masks)
+    return masks[order], np.array(list(v.terms.values()), dtype=float)[order]
 
 
 def _to_vector(v: SwapVector, state) -> SwapVector:
@@ -317,7 +380,9 @@ def apply_local(v: SwapVector, local: Region, d: int) -> SwapVector:
     """
     if local.is_empty:
         raise ValueError("local region must be nonempty")
-    return _to_vector(v, _apply(_to_state(v, local.n), _region_map(local, d), v.prune_tol))
+    state = _to_state(v, local.n)
+    return _to_vector(v, _apply_stage(state, _region_maps([local], d), [(1.0, 0)], local.n,
+                                      v.prune_tol))
 
 
 def apply_step(v: SwapVector, spec: EnsembleSpec, step_index: int = 0) -> SwapVector:
@@ -333,7 +398,7 @@ def apply_sweep(v: SwapVector, spec: EnsembleSpec) -> SwapVector:
 def _step_vector(v: SwapVector, spec: EnsembleSpec, j: int, policy: type) -> SwapVector:
     if not isinstance(spec.policy, policy):
         raise ValueError(f"this step requires the {policy.__name__} policy, not {spec.policy!r}")
-    maps = [_region_map(r, spec.d) for r in spec.structure.regions]
+    maps = _region_maps(spec.structure.regions, spec.d)
     return _to_vector(v, _step(_to_state(v, spec.structure.n), spec, maps, j, v.prune_tol))
 
 
@@ -370,16 +435,27 @@ def markov_purity(initial: Region, spec: EnsembleSpec, k: int) -> list[float]:
         raise ValueError("markov_purity requires a Markov policy")
     if k < 0:
         raise ValueError("k must be >= 0")
-    base = _to_state(SwapVector.single(initial), spec.structure.n)
-    maps = [_region_map(r, spec.d) for r in spec.structure.regions]
-    tol = DEFAULT_PRUNE_TOL
-    out, branches = [1.0], None
-    for _ in range(k):
-        branches = [_apply(base if branches is None else
-                           _mix(((w, b) for w, b in zip(row, branches) if w), tol), rmap, tol)
-                    for row, rmap in zip(pol.matrix, maps)]
+    out = [1.0]
+    for branches in itertools.islice(_markov_branches(initial, spec), k):
         out.append(math.fsum(q * math.fsum(b[1].tolist()) for q, b in zip(pol.initial, branches)))
     return out
+
+
+def _markov_branches(initial: Region, spec: EnsembleSpec):
+    """``markov_purity``'s swap vectors, one per region index, after each further draw."""
+    n, tol = spec.structure.n, DEFAULT_PRUNE_TOL
+    maps = _region_maps(spec.structure.regions, spec.d)
+    base = _to_state(SwapVector.single(initial), n)
+
+    def mixture(row):  # the branches weighted by a transition row, in one merge
+        used = [(w, b) for w, b in zip(row, branches) if w]
+        return _mix(((b[0], w * b[1]) for w, b in used), sum(b[0].size for _, b in used), n, tol)
+
+    branches = None
+    while True:
+        branches = [_apply_stage(base if branches is None else mixture(row), maps, [(1.0, idx)],
+                                 n, tol) for idx, row in enumerate(spec.policy.matrix)]
+        yield branches
 
 
 def purity_trajectory(initial: Region, spec: EnsembleSpec, k_max: int) -> list[float]:
@@ -394,7 +470,7 @@ def purity_trajectory(initial: Region, spec: EnsembleSpec, k_max: int) -> list[f
     if isinstance(spec.policy, Markov):
         return markov_purity(initial, spec, k_max)
     state = _to_state(SwapVector.single(initial), spec.structure.n)
-    maps = [_region_map(r, spec.d) for r in spec.structure.regions]
+    maps = _region_maps(spec.structure.regions, spec.d)
     out = [1.0]
     for j in range(k_max):
         state = _step(state, spec, maps, j, DEFAULT_PRUNE_TOL)
@@ -454,9 +530,12 @@ def purity_infinity(initial: Region, structure: LocalStructure, d: int) -> float
 # ---------------------------------------------------------------------------
 
 def _factor(region: Region, d: int, q: float = 1.0) -> tuple[np.ndarray, ...]:
-    """A gate on ``region`` over all 2^n swaps: ``_scatter``'s (source, target, q * weight)."""
-    src, dst, weight = _scatter(np.arange(1 << region.n, dtype=np.uint64), *_region_map(region, d))
-    return src, dst.astype(np.intp), q * weight
+    """A gate on ``region`` over all 2^n swaps as ``_scatter``'s (source, target, q * weight)."""
+    masks = np.arange(1 << region.n, dtype=np.uint64)
+    dst, weight, (_, src, dst2, weight2) = _scatter(masks, _region_maps([region], d), [0])
+    src = np.concatenate((np.arange(masks.size), src))
+    dst = np.concatenate((dst[0], dst2)).astype(np.intp)
+    return src, dst, q * np.concatenate((weight[0], weight2))
 
 
 def _step_factors(spec: EnsembleSpec) -> list[tuple[np.ndarray, ...]]:

@@ -481,6 +481,31 @@ class TestValidation:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, policy, key", [
+        ({"weights": [True, False]}, {"kind": "uncorrelated"}, "model.weights"),
+        ({"weights": ["0.5", "0.5"]}, {"kind": "uncorrelated"}, "model.weights"),
+        ({}, {"kind": "uncorrelated", "step_weights": [[0.5, 0.5], [True, False]]},
+         "policy.step_weights[1]"),
+        ({}, {"kind": "uncorrelated", "step_weights": [["0.5", "0.5"]]}, "policy.step_weights[0]"),
+        ({}, {"kind": "markov", "initial": [True, False], "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+         "policy.initial"),
+        ({}, {"kind": "markov", "initial": ["0.5", "0.5"], "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+         "policy.initial"),
+        ({}, {"kind": "markov", "initial": [0.5, 0.5], "matrix": [[0.5, 0.5], [False, True]]},
+         "policy.matrix[1]"),
+        ({}, {"kind": "markov", "initial": [0.5, 0.5], "matrix": [["1", "0"], [0.5, 0.5]]},
+         "policy.matrix[0]"),
+        ({}, {"kind": "markov", "initial": [0.5, 0.5], "matrix": 1.0}, "policy.matrix"),
+    ], ids=["weights-bool", "weights-str", "step-weights-bool", "step-weights-str",
+            "initial-bool", "initial-str", "matrix-bool", "matrix-str", "matrix-scalar"])
+    def test_weights_must_be_json_numbers(self, tmp_path, capsys, model, policy, key):
+        out = tmp_path / "x.csv"
+        cfg = base_config(str(out), model={"n": 3, "regions": [[0, 1], [1, 2]], **model},
+                          policy=policy, run={"initial_region": [0], "k_max": 2})
+        assert run_cli(tmp_path, "evolve", cfg) == 2
+        assert f"error: {key} must be a list of" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_epsilon_is_unknown(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         cfg = base_config(str(out), run={"epsilon": "anything"})

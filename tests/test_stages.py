@@ -3,7 +3,8 @@
 ``ref_step``, ``ref_step_factors``, ``ref_matrix_bytes`` and ``ref_build_swap_matrix``
 are those functions as they stood, each branching on the policy itself: a sweep
 applied its regions in turn, an uncorrelated step mixed the regions of positive
-weight, and a sweep's build row-scattered every factor onto the identity.
+weight, and a sweep's build row-scattered every factor onto the identity.  The steps
+run on the per-region kernel kept in ``test_merge``.
 """
 import math
 import tracemalloc
@@ -15,22 +16,23 @@ from hypothesis import example, given, settings, strategies as st
 from lrqc import (CapExceeded, CorrelatedSweep, EnsembleSpec, LocalStructure, Markov, Region,
                   Uncorrelated, build_swap_matrix, path_structure, purity_trajectory,
                   spectral_gap_swap)
-from lrqc.swapcore import (DEFAULT_PRUNE_TOL, _OBJECT_BYTES, _apply, _emit, _factor,
-                           _matrix_bytes, _mix, _region_map, _stages, _step, _step_factors)
+from lrqc.swapcore import (DEFAULT_PRUNE_TOL, _OBJECT_BYTES, _factor, _matrix_bytes,
+                           _region_maps, _stages, _step, _step_factors)
+from test_merge import ref_apply, ref_emit, ref_mix, ref_region_map
 
 
 def ref_step(state, spec, maps, step_index, tol):
     if isinstance(spec.policy, CorrelatedSweep):
         for idx in spec.policy.order:
-            state = _apply(state, maps[idx], tol)
+            state = ref_apply(state, maps[idx], tol)
         return state
     weights = spec.step_weights(step_index)
-    return _mix(((q, _emit(state, rmap)) for q, rmap in zip(weights, maps) if q), tol)
+    return ref_mix(((q, ref_emit(state, rmap)) for q, rmap in zip(weights, maps) if q), tol)
 
 
 def ref_trajectory(initial, spec, k_max):
     state = (np.array([initial.bits], dtype=np.uint64), np.array([1.0]))
-    maps = [_region_map(r, spec.d) for r in spec.structure.regions]
+    maps = [ref_region_map(r, spec.d) for r in spec.structure.regions]
     out = [1.0]
     for j in range(k_max):
         state = ref_step(state, spec, maps, j, DEFAULT_PRUNE_TOL)
@@ -137,12 +139,13 @@ def test_steps_and_trajectories_match_per_policy_code(spec, data):
     steps = len(per_step) if per_step else 6
     k = data.draw(st.integers(0, steps))
     assert purity_trajectory(initial, spec, k) == ref_trajectory(initial, spec, k)
-    maps = [_region_map(r, spec.d) for r in spec.structure.regions]
+    maps = [ref_region_map(r, spec.d) for r in spec.structure.regions]
     masks = np.unique(np.array(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
                                                    max_size=20)), dtype=np.uint64))
     state = (masks, np.linspace(0.1, 1.0, masks.size))
+    new_maps = _region_maps(spec.structure.regions, spec.d)
     for j in range(steps):
-        got, want = _step(state, spec, maps, j, 0.0), ref_step(state, spec, maps, j, 0.0)
+        got, want = _step(state, spec, new_maps, j, 0.0), ref_step(state, spec, maps, j, 0.0)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
