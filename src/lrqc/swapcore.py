@@ -38,7 +38,8 @@ _SITE_BLOCK_BYTES = 1 << 19  # rows of a batch mapped together by _on_sites
 _OBJECT_BYTES = 16 << 10  # arrays' headers and other small objects of one build: about 8 KiB
 _MERGE_BYTES = 1 << 22  # bytes of one group's scattered image, or of a dense accumulator
 _MASK_BYTES = 256  # bytes a group's scatter and image hold per region and mask; ~100 measured
-_DENSE_RATIO = 16  # dense when 2^n is at most this many times a stage's entries
+_DENSE_RATIO = 16  # dense when 2^n is at most this many times a stage's entries: the two
+# merges of one stage took the same time near this ratio at n = 16 and 18 (2-core VM)
 
 _log = logging.getLogger("lrqc")
 
@@ -247,17 +248,6 @@ def split_by_region(masks: np.ndarray, mask: np.uint64) -> tuple[np.ndarray, np.
     return np.flatnonzero(~hit), np.flatnonzero(hit)
 
 
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _byte_popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each ``uint64``, counted byte by byte: numpy 1.x lacks ``np.bitwise_count``."""
-    return _BYTE_BITS[x.view(np.uint8)].reshape(x.shape + (8,)).sum(axis=-1)
-
-
-_popcount = getattr(np, "bitwise_count", _byte_popcount)
-
-
 def _scatter(masks: np.ndarray, maps: tuple, idx: list[int]) -> tuple[np.ndarray, ...]:
     """Where the gates on regions ``idx`` send the swaps of ``masks``, a sorted mask array.
 
@@ -271,7 +261,7 @@ def _scatter(masks: np.ndarray, maps: tuple, idx: list[int]) -> tuple[np.ndarray
     """
     bits, table = maps[0][idx], maps[1][idx]
     inter = masks & bits[:, None]
-    key = _popcount(inter) + table.shape[2] * np.arange(len(idx))[:, None]  # row, |A & R|
+    key = np.bitwise_count(inter) + table.shape[2] * np.arange(len(idx))[:, None]  # row, |A & R|
     straddled = (inter != 0) & (inter != bits[:, None])
     hit = np.flatnonzero(straddled)
     row, src = np.divmod(hit, masks.size)

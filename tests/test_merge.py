@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from lrqc import (CorrelatedSweep, EnsembleSpec, LocalStructure, Markov, PathParams, Region,
                   Uncorrelated, path_structure, purity_exact, purity_trajectory, swapcore)
-from lrqc.swapcore import (DEFAULT_PRUNE_TOL, _alpha, _apply_stage, _byte_popcount,
-                           _markov_branches, _region_maps, _stages, _step, split_by_region)
+from lrqc.swapcore import (DEFAULT_PRUNE_TOL, _alpha, _apply_stage, _markov_branches,
+                           _region_maps, _stages, _step, split_by_region)
 
 
 def ref_region_map(region, d):
@@ -152,11 +152,6 @@ def test_trajectories_steps_and_branches_match_per_region_merges(spec, budget, d
         maps = _region_maps(spec.structure.regions, spec.d)
         for j in range(4):
             assert _same(_step(state, spec, maps, j, 0.0), ref_step(state, spec, j, 0.0))
-
-
-def test_byte_popcount_counts_set_bits():
-    x = np.array([[0, 1, 3, 1 << 40 | 7], [2**64 - 1, 1 << 63, 255, 256]], dtype=np.uint64)
-    assert _byte_popcount(x).tolist() == [[bin(int(v)).count("1") for v in r] for r in x]
 
 
 def test_small_budgets_split_stages_into_groups():
