@@ -7,13 +7,17 @@ provides the exact one- and two-copy Haar projections for small systems.
 Conventions.  Basis index x encodes site s in digit (x // d^s) % d, so site 0
 is least significant.  A gate on a region addresses the region's sites in
 ascending order with the lowest site least significant.  Monte Carlo sample s
-owns the random stream seeded by (seed, 0, s) (circuit draws) or (seed, 1, s)
-(reference Haar states).  Uncorrelated and Markov gates each draw one uniform
-to pick the region, then the gate's Gaussians; a correlated sweep draws no
-uniform and one block of Gaussians per step, which the gates of its pass slice
-in order, the same sequence as drawing gate by gate.  So trajectories of
-different lengths share their common prefix, and a sample's values depend only
-on its own stream, never on the chunk or reduction sub-batch it falls in.
+owns the random stream ``np.random.default_rng((seed, 0, s))`` (circuit draws)
+or ``np.random.default_rng((seed, 1, s))`` (reference Haar states), bit for
+bit; ``_streams`` builds them with the seeds of a whole chunk hashed in one
+pass.  Uncorrelated and Markov gates each draw one uniform to pick the region,
+then the gate's Gaussians; a correlated sweep draws no uniform and one block of
+Gaussians per step, which the gates of its pass slice in order, the same
+sequence as drawing gate by gate.  Gates of dimension up to
+_GRAM_SCHMIDT_MAX_DIM = 7 are made by Gram-Schmidt, larger ones by QR.  So
+trajectories of different lengths share their common prefix, and a sample's
+values depend only on its own stream, never on the chunk, gate batch or
+reduction sub-batch it falls in.
 """
 from __future__ import annotations
 
@@ -33,8 +37,9 @@ MATRIX_DIM_CAP = 1 << 10
 SUPEROP_DIM_CAP = 1 << 12
 _NORM_TOL = 1e-10
 _CHUNK_BYTES = 1 << 28  # bytes held per batch of samples, counted by _chunks
-_GENERATOR_BYTES = 2 << 10  # a per-sample Generator and its region draws, by tracemalloc
+_GENERATOR_BYTES = 3 << 9  # a per-sample Generator and its region draws: 1.3 kB by tracemalloc
 _REDUCE_BYTES = 1 << 22  # bytes of factors and products per reduction sub-batch
+_GRAM_SCHMIDT_MAX_DIM = 7  # largest gate made by Gram-Schmidt, not QR: the measured crossover
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +56,8 @@ class OracleConfig:
     n: int
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"run.seed must be a non-negative integer, got {self.seed}")
         if self.samples < 2:
             raise ValueError("at least 2 samples are required")
         if self.d < 2 or self.n < 1:
@@ -118,15 +125,71 @@ def product_state(n: int, d: int) -> DenseState:
 def _haar_from_gaussians(z: np.ndarray) -> np.ndarray:
     """Map (..., 2, m, m) standard normals to (..., m, m) Haar unitaries.
 
-    QR of the complex Gaussian matrix, with the R diagonal's phases pushed
-    into Q; without that correction the distribution is not Haar.
+    The unitary is the Q of G = (X + iY)/sqrt(2) = QR with R's diagonal real
+    and positive; without that phase fix the distribution is not Haar
+    (Mezzadri, arXiv:math-ph/0609050).  Up to m = _GRAM_SCHMIDT_MAX_DIM,
+    Gram-Schmidt makes that Q directly; above it, LAPACK QR with R's diagonal
+    phases pushed into Q.  The choice depends on m alone, so a sample's gate
+    never depends on the batch it is made in.
     """
+    if z.shape[-1] <= _GRAM_SCHMIDT_MAX_DIM:
+        return _gram_schmidt(z)
     g = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
     q, r = np.linalg.qr(g)
     diag = np.einsum('...ii->...i', r)
     mag = np.abs(diag)
     phases = np.where(mag == 0, 1.0 + 0j, diag / np.where(mag == 0, 1.0, mag))
     return q * phases[..., None, :]
+
+
+def _gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """Two-pass classical Gram-Schmidt over the columns of G, vectorized over the batch.
+
+    It runs in real arithmetic with the samples on the last axis, and every sum
+    runs over its terms in a fixed order: numpy's complex multiply and its
+    reductions round differently with the memory layout, so a gate made that
+    way would change in its last bits with the size of its batch.
+    """
+    m = z.shape[-1]
+    # re[j, i, s] and im[j, i, s]: entry (i, j) of sample s's G
+    parts = z.reshape(-1, 2, m, m).transpose(1, 3, 2, 0).copy()  # C order, never a view of z
+    parts /= math.sqrt(2.0)
+    re, im = parts
+    samples = re.shape[-1]
+    x, y, w = (np.empty((m - 1, m, samples)) for _ in range(3))
+    for j in range(m):
+        vr, vi, br, bi = re[j], im[j], re[:j], im[:j]
+        xs, ys, ws = x[:j], y[:j], w[:j]
+        for _ in range(2 if j else 0):
+            # c = B^H v, each entry summed over the rows in order
+            np.multiply(br, vr, out=xs)
+            xs += np.multiply(bi, vi, out=ws)
+            np.multiply(br, vi, out=ys)
+            ys -= np.multiply(bi, vr, out=ws)
+            cr, ci = xs[:, 0].copy(), ys[:, 0].copy()
+            for i in range(1, m):
+                cr += xs[:, i]
+                ci += ys[:, i]
+            # v -= B c, summed over the columns in order
+            np.multiply(br, cr[:, None], out=xs)
+            xs -= np.multiply(bi, ci[:, None], out=ws)
+            np.multiply(br, ci[:, None], out=ys)
+            ys += np.multiply(bi, cr[:, None], out=ws)
+            for k in range(j):
+                vr -= xs[k]
+                vi -= ys[k]
+        norm = vr[0] * vr[0]
+        norm += vi[0] * vi[0]
+        for i in range(1, m):
+            norm += vr[i] * vr[i]
+            norm += vi[i] * vi[i]
+        np.sqrt(norm, out=norm)
+        vr /= norm
+        vi /= norm
+    q = np.empty((samples, m, m), dtype=complex)
+    q.real = re.T
+    q.imag = im.T
+    return q.reshape(z.shape[:-3] + (m, m))
 
 
 def haar_unitary(m: int, stream: np.random.Generator) -> np.ndarray:
@@ -267,6 +330,103 @@ def sample_regions(spec: EnsembleSpec, k: int, stream: np.random.Generator) -> l
 
 
 # ---------------------------------------------------------------------------
+# Sample streams
+# ---------------------------------------------------------------------------
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), with its pool of 4 words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_POOL_WORDS = 4
+
+
+def _words32(x: int) -> list[int]:
+    """A non-negative integer as SeedSequence's entropy: 32-bit words, least
+    significant first, at least one."""
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _seed_states(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for every row e of the
+    entropy, given as columns of uint32 words: one (samples, 4) uint64 array."""
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    state = np.empty((len(zero), 2 * _POOL_WORDS), dtype=np.uint32)
+    for i in range(2 * _POOL_WORDS):
+        value = pool[i % _POOL_WORDS] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value *= np.uint32(const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    return state.astype('<u4').view('<u8').astype(np.uint64)
+
+
+class _SeedWords:
+    """A precomputed SeedSequence state: the four words PCG64 asks its seed for.
+
+    ``_streams`` registers it as a numpy ``ISeedSequence``, which makes
+    ``PCG64`` take it as it would the SeedSequence itself.  The registration
+    waits for the first stream so that importing this module leaves
+    ``numpy.random`` unloaded.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+            raise ValueError("only the state PCG64 asks for was precomputed")
+        return self.words
+
+
+def _streams(seed: int, tag: int, lo: int, hi: int) -> list[np.random.Generator]:
+    """``np.random.default_rng((seed, tag, s))`` for s in range(lo, hi), bit for
+    bit, with every seed of the range hashed in one vectorized pass."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
+    head = _words32(seed) + [tag]
+    states = []
+    # s takes one 32-bit word below 2^32 and two from there
+    for a, b in ((lo, min(hi, 1 << 32)), (max(lo, 1 << 32), hi)):
+        if a >= b:
+            continue
+        s = np.arange(a, b, dtype=np.uint64)
+        tail = [s & _MASK32] + ([s >> np.uint64(32)] if a >= 1 << 32 else [])
+        states.append(_seed_states([np.full(b - a, w, dtype=np.uint32) for w in head]
+                                   + [t.astype(np.uint32) for t in tail]))
+    return [Generator(PCG64(_SeedWords(words))) for part in states for words in part]
+
+
+# ---------------------------------------------------------------------------
 # Batched circuit simulation
 # ---------------------------------------------------------------------------
 
@@ -310,7 +470,7 @@ def _simulate(spec: EnsembleSpec, k_max: int,
     # each sample's Gaussians, and six gate-sized arrays while its Haar gate is made
     gaussians = offsets[-1] if sweep is not None else max(sizes)
     for lo, hi in _chunks(cfg, 8 * gaussians + 6 * 16 * max(dims) ** 2):
-        rngs = [np.random.default_rng((cfg.seed, 0, s)) for s in range(lo, hi)]
+        rngs = _streams(cfg.seed, 0, lo, hi)
         states = np.zeros((hi - lo, d**n), dtype=complex)
         states[:, 0] = 1.0
         yield 0, states, lo
@@ -400,9 +560,10 @@ def _kron_power_batch(rho: np.ndarray, t: int) -> np.ndarray:
 def _haar_batches(cfg: OracleConfig) -> Iterator[tuple[np.ndarray, int]]:
     """(states, first_index) chunks of global Haar states, sample s from stream (seed, 1, s)."""
     dim = cfg.d**cfg.n
-    for lo, hi in _chunks(cfg, 32 * dim):  # the draws, then their stacked copy
-        z = np.stack([np.random.default_rng((cfg.seed, 1, s)).standard_normal((2, dim))
-                      for s in range(lo, hi)])
+    for lo, hi in _chunks(cfg, 32 * dim):  # the draws, then the states made from them
+        z = np.empty((hi - lo, 2, dim))
+        for rng, row in zip(_streams(cfg.seed, 1, lo, hi), z):
+            rng.standard_normal(out=row)
         states = z[:, 0, :] + 1j * z[:, 1, :]
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         yield states, lo

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lrqc
 from lrqc import PathParams, __version__, spectral_gap_1d
 from lrqc.cli import main, read_metadata_config
 
@@ -282,6 +287,14 @@ class TestOracleCmd:
         assert run_cli(tmp_path, "oracle", cfg) == 0
         assert (tmp_path / "oracle.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("config_seed, extra", [(-1, ()), (7, ("--seed", "-1"))])
+    def test_negative_seed_rejected(self, tmp_path, capsys, config_seed, extra):
+        out = tmp_path / "oracle.csv"
+        cfg = base_config(str(out), run={"seed": config_seed})
+        assert run_cli(tmp_path, "oracle", cfg, extra=extra) == 2
+        assert "run.seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_state_cap(self, tmp_path):
         out = tmp_path / "oracle.csv"
         cfg = {
@@ -543,3 +556,11 @@ class TestValidation:
         assert run_cli(tmp_path, command, cfg) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy 2 loads numpy.random on first use; the oracle's streams wait for it
+    src = str(Path(lrqc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lrqc.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

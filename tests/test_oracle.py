@@ -40,6 +40,62 @@ class TestHaarUnitary:
             haar_unitary(0, np.random.default_rng(0))
 
 
+def _qr_haar(z):
+    """The former _haar_from_gaussians: LAPACK QR, then R's diagonal phases pushed into Q."""
+    g = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    diag = np.einsum('...ii->...i', r)
+    mag = np.abs(diag)
+    phases = np.where(mag == 0, 1.0 + 0j, diag / np.where(mag == 0, 1.0, mag))
+    return q * phases[..., None, :]
+
+
+class TestGramSchmidt:
+    """Gates below the crossover come from Gram-Schmidt, pinned to the QR formula."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 9), shape=st.sampled_from([(), (1,), (7,), (2, 3)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_qr(self, m, shape, seed):
+        from lrqc.oracle import _gram_schmidt, _haar_from_gaussians
+        z = np.random.default_rng(seed).standard_normal(shape + (2, m, m))
+        want = _qr_haar(z)
+        for got in (_haar_from_gaussians(z), _gram_schmidt(z)):
+            assert np.array_equal(_qr_haar(z), want)  # the Gaussians were not written to
+            assert got.shape == shape + (m, m)
+            assert np.abs(got - want).max() <= 1e-13
+            assert np.abs(got.conj().swapaxes(-1, -2) @ got - np.eye(m)).max() <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 9), samples=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    def test_gate_independent_of_its_batch(self, m, samples, seed):
+        from lrqc.oracle import _haar_from_gaussians
+        z = np.random.default_rng(seed).standard_normal((samples, 2, m, m))
+        whole = _haar_from_gaussians(z)
+        assert np.array_equal(_haar_from_gaussians(z[1:]), whole[1:])
+        for one, gate in zip(z, whole):
+            assert np.array_equal(_haar_from_gaussians(one), gate)
+
+
+class TestStreams:
+    """Each sample's stream is np.random.default_rng((seed, tag, s)), bit for bit."""
+
+    # 2^64 + 5 has three entropy words, so with the tag and s there are more
+    # than SeedSequence's four pool words; s takes a second word from 2^32
+    @pytest.mark.parametrize("lo, hi", [(0, 5), (2**32 - 3, 2**32 + 3), (2**33, 2**33 + 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("tag", [0, 1])
+    def test_matches_default_rng(self, tag, seed, lo, hi):
+        from lrqc.oracle import _streams
+        streams = _streams(seed, tag, lo, hi)
+        assert len(streams) == hi - lo
+        for s, got in zip(range(lo, hi), streams):
+            want = np.random.default_rng((seed, tag, s))
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.random() == want.random()
+            assert np.array_equal(got.standard_normal(8), want.standard_normal(8))
+
+
 class TestDenseState:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
@@ -234,6 +290,8 @@ class TestMcPurity:
             OracleConfig(seed=0, samples=10, d=2, n=21)
         with pytest.raises(ValueError):
             OracleConfig(seed=0, samples=1, d=2, n=3)
+        with pytest.raises(ValueError, match="run.seed"):
+            OracleConfig(seed=-1, samples=10, d=2, n=3)
 
 
 class TestFirstMomentMap:
