@@ -66,6 +66,15 @@ class TestGramSchmidt:
             assert np.abs(got - want).max() <= 1e-13
             assert np.abs(got.conj().swapaxes(-1, -2) @ got - np.eye(m)).max() <= 1e-13
 
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_unitary_with_nearly_dependent_columns(self, m):
+        # one pass loses orthogonality as cond(G)^2 times the rounding error
+        from lrqc.oracle import _haar_from_gaussians
+        z = np.random.default_rng(m).standard_normal((5, 2, m, m))
+        z[..., 1] = z[..., 0] + 1e-6 * z[..., 1]
+        u = _haar_from_gaussians(z)
+        assert np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(m)).max() <= 1e-13
+
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 9), samples=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
     def test_gate_independent_of_its_batch(self, m, samples, seed):
