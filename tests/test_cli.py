@@ -561,6 +561,7 @@ class TestValidation:
 def test_import_leaves_numpy_random_unloaded():
     # numpy 2 loads numpy.random on first use; the oracle's streams wait for it
     src = str(Path(lrqc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     code = "import sys, lrqc.cli; sys.exit('numpy.random' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -59,12 +59,12 @@ class TestGramSchmidt:
     def test_matches_qr(self, m, shape, seed):
         from lrqc.oracle import _gram_schmidt, _haar_from_gaussians
         z = np.random.default_rng(seed).standard_normal(shape + (2, m, m))
-        want = _qr_haar(z)
+        drawn, want = z.copy(), _qr_haar(z)
         for got in (_haar_from_gaussians(z), _gram_schmidt(z)):
-            assert np.array_equal(_qr_haar(z), want)  # the Gaussians were not written to
             assert got.shape == shape + (m, m)
             assert np.abs(got - want).max() <= 1e-13
             assert np.abs(got.conj().swapaxes(-1, -2) @ got - np.eye(m)).max() <= 1e-13
+        assert np.array_equal(z, drawn)  # the Gaussians were not written to
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_unitary_with_nearly_dependent_columns(self, m):
