@@ -10,7 +10,7 @@ from .errors import CapExceeded, NumericalAmbiguityError
 from .regions import Region, in_boundary, sym_diff
 from .swapcore import (ComponentDecomposition, CorrelatedSweep, EnsembleSpec,
                        LocalStructure, Markov, SwapVector, Uncorrelated,
-                       alpha_coefficients, apply_local, apply_step, apply_sweep,
+                       alpha_coefficients, apply_local, apply_step,
                        build_swap_matrix, complement_involution, complete_structure,
                        connected_components, contract_factorized, fixed_space_dimension,
                        markov_purity, path_structure, purity_infinity,
@@ -22,7 +22,7 @@ from .path1d import (PathParams, SpectralData, analytic_steps_bound, eigenvector
 from .bounds import (BoundReport, area_law_bound, boundary_probability,
                      correlated_convergence_bound, entangling_power,
                      first_moment_convergence_bound, r1_candidate_spectrum,
-                     reachable_boundary_range, swap_constant, t_design_delta)
+                     reachable_boundary_column, swap_constant, t_design_delta)
 from .oracle import (DenseState, DesignDistance, MomentEstimate, OracleConfig,
                      apply_gate, dense_swap, exact_first_moment_map,
                      exact_second_moment_projection, first_moment_mixture_matrix,

@@ -11,6 +11,7 @@ from typing import Any
 
 import numpy as np
 
+from .errors import CapExceeded
 from .regions import Region, in_boundary
 from .swapcore import LocalStructure, split_by_region
 
@@ -63,7 +64,7 @@ def reachable_boundary_column(initial: Region, structure: LocalStructure,
     if initial.n != structure.n:
         raise ValueError("initial region universe does not match the structure")
     if k_max < 0:
-        raise ValueError("depth must be >= 0")
+        raise ValueError("k_max must be >= 0")
     moves = [(np.uint64(r.bits), q) for r, q in zip(structure.regions, structure.weight_vector())]
     seen = frontier = np.array([initial.bits], dtype=np.uint64)
     p_max, p_min, out = -math.inf, math.inf, []
@@ -79,14 +80,8 @@ def reachable_boundary_column(initial: Region, structure: LocalStructure,
             frontier = np.setdiff1d(np.concatenate(reached), seen)
             seen = np.union1d(seen, frontier)
             if seen.size > 1 << 16:
-                raise ValueError("reachable-region enumeration exceeded 2^16 regions")
+                raise CapExceeded("reachable-region enumeration exceeded 2^16 regions")
     return out
-
-
-def reachable_boundary_range(initial: Region, structure: LocalStructure,
-                             depth: int) -> tuple[float, float]:
-    """Entry ``depth`` of ``reachable_boundary_column``."""
-    return reachable_boundary_column(initial, structure, depth)[depth]
 
 
 def area_law_bound(pX: float, pXtilde: float, d: int, k: int) -> BoundReport:

@@ -124,19 +124,21 @@ def cmd_evolve(cfg: ExperimentConfig) -> ResultTable:
     spec = spec_from_config(cfg)
     initial = _initial_region(cfg, n)
     k_max = run_int(cfg, "k_max")
-    traj = purity_trajectory(initial, spec, k_max)
+    area_law = {}
+    if cfg.run.get("area_law"):  # before the trajectory, so that a refusal costs none of it
+        if not isinstance(spec.policy, Uncorrelated) or spec.policy.step_weights is not None:
+            raise ValidationError("the area-law column reads model.weights, so it applies to "
+                                  "the uncorrelated policy without policy.step_weights only")
+        ranges = reachable_boundary_column(initial, spec.structure, k_max)
+        area_law["area_law_bound"] = [area_law_bound(p_x, p_xt, d, k).value
+                                      for k, (p_x, p_xt) in enumerate(ranges)]
     p_inf = purity_infinity(initial, spec.structure, d)
     columns: dict[str, list] = {
         "k": list(range(k_max + 1)),
-        "P_k": traj,
+        "P_k": purity_trajectory(initial, spec, k_max),
         "P_infinity": [p_inf] * (k_max + 1),
+        **area_law,
     }
-    if cfg.run.get("area_law"):
-        if not isinstance(spec.policy, Uncorrelated):
-            raise ValidationError("the area-law column applies to the uncorrelated policy only")
-        ranges = reachable_boundary_column(initial, spec.structure, k_max)
-        columns["area_law_bound"] = [area_law_bound(p_x, p_xt, d, k).value
-                                     for k, (p_x, p_xt) in enumerate(ranges)]
     return ResultTable(columns)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -199,23 +200,18 @@ def haar_unitary(m: int, stream: np.random.Generator) -> np.ndarray:
     return _haar_from_gaussians(stream.standard_normal((2, m, m)))
 
 
-def _region_perm(n: int, sites: Sequence[int], batched: bool) -> list[int]:
-    """Axis order placing the given sites' tensor axes first (highest site leading)."""
-    offset = 1 if batched else 0
+def _region_perm(n: int, sites: Sequence[int]) -> list[int]:
+    """Axis order of a (samples, d, ..., d) batch placing the given sites' axes first,
+    highest site leading."""
     in_region = set(sites)
-    perm = ([0] if batched else [])
-    perm += [offset + n - 1 - s for s in sorted(sites, reverse=True)]
-    perm += [offset + n - 1 - s for s in range(n - 1, -1, -1) if s not in in_region]
-    return perm
+    return ([0] + [n - s for s in sorted(sites, reverse=True)]
+            + [n - s for s in range(n - 1, -1, -1) if s not in in_region])
 
 
 def _apply_gates_batch(states: np.ndarray, sites: Sequence[int], gates: np.ndarray,
                        n: int, d: int) -> np.ndarray:
     """Apply per-sample gates on the given sites to a (samples, d^n) batch."""
-    c = states.shape[0]
-    t = gates @ _region_factors(states, sites, n, d)
-    inverse = np.argsort(_region_perm(n, sites, batched=True))
-    return t.reshape((c,) + (d,) * n).transpose(inverse).reshape(c, -1)
+    return _from_region_factors(gates @ _region_factors(states, sites, n, d), sites, n, d)
 
 
 def apply_gate(state: DenseState, region: Region, gate: np.ndarray) -> DenseState:
@@ -235,8 +231,15 @@ def _region_factors(states: np.ndarray, sites: Sequence[int], n: int, d: int) ->
     """Reshape a (samples, d^n) batch into (samples, d^|sites|, d^rest) matrices."""
     c = states.shape[0]
     dm = d ** len(sites)
-    perm = _region_perm(n, sites, batched=True)
+    perm = _region_perm(n, sites)
     return states.reshape((c,) + (d,) * n).transpose(perm).reshape(c, dm, -1)
+
+
+def _from_region_factors(t: np.ndarray, sites: Sequence[int], n: int, d: int) -> np.ndarray:
+    """The inverse of ``_region_factors``: (samples, d^|sites|, d^rest) back to (samples, d^n)."""
+    c = t.shape[0]
+    inverse = np.argsort(_region_perm(n, sites))
+    return t.reshape((c,) + (d,) * n).transpose(inverse).reshape(c, -1)
 
 
 def _reduce(states: np.ndarray, sites: Sequence[int], n: int, d: int, consume,
@@ -386,33 +389,34 @@ def _seed_states(entropy: list[np.ndarray]) -> np.ndarray:
     return state.astype('<u4').view('<u8').astype(np.uint64)
 
 
-class _SeedWords:
-    """A precomputed SeedSequence state: the four words PCG64 asks its seed for.
+@lru_cache(maxsize=None)
+def _seed_words_class() -> type:
+    """The class of a precomputed SeedSequence state: the four words PCG64 asks its seed for.
 
-    ``_streams`` registers it as a numpy ``ISeedSequence``, which makes
-    ``PCG64`` take it as it would the SeedSequence itself.  The registration
-    waits for the first stream so that importing this module leaves
-    ``numpy.random`` unloaded.
+    It subclasses numpy's ``ISeedSequence``, which makes ``PCG64`` take it as
+    it would the SeedSequence itself, and a real subclass passes that check
+    from the ABC's cache.  The class is made on first use so that importing
+    this module leaves ``numpy.random`` unloaded.
     """
+    from numpy.random.bit_generator import ISeedSequence
 
-    __slots__ = ("words",)
+    class SeedWords(ISeedSequence):  # ISeedSequence has no __slots__, so neither does this
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
-            raise ValueError("only the state PCG64 asks for was precomputed")
-        return self.words
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+                raise ValueError("only the state PCG64 asks for was precomputed")
+            return self.words
+    return SeedWords
 
 
 def _streams(seed: int, tag: int, lo: int, hi: int) -> list[np.random.Generator]:
     """``np.random.default_rng((seed, tag, s))`` for s in range(lo, hi), bit for
     bit, with every seed of the range hashed in one vectorized pass."""
     from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
 
-    ISeedSequence.register(_SeedWords)
+    seed_words = _seed_words_class()
     head = _words32(seed) + [tag]
     states = []
     # s takes one 32-bit word below 2^32 and two from there
@@ -423,7 +427,7 @@ def _streams(seed: int, tag: int, lo: int, hi: int) -> list[np.random.Generator]
         tail = [s & _MASK32] + ([s >> np.uint64(32)] if a >= 1 << 32 else [])
         states.append(_seed_states([np.full(b - a, w, dtype=np.uint32) for w in head]
                                    + [t.astype(np.uint32) for t in tail]))
-    return [Generator(PCG64(_SeedWords(words))) for part in states for words in part]
+    return [Generator(PCG64(seed_words(words))) for part in states for words in part]
 
 
 # ---------------------------------------------------------------------------
@@ -613,21 +617,6 @@ def trace_norm(hermitian: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(hermitian)).sum())
 
 
-def _to_blocks(op: np.ndarray, sites: Sequence[int], n: int, d: int):
-    """View a d^n x d^n operator as a (Da, Db, Da, Db) block tensor, sites first."""
-    row = _region_perm(n, sites, batched=False)
-    perm = row + [n + a for a in row]
-    da = d ** len(sites)
-    t = op.reshape((d,) * (2 * n)).transpose(perm)
-    return t.reshape(da, -1, da, op.shape[0] // da), perm
-
-
-def _from_blocks(t4: np.ndarray, perm: list[int], n: int, d: int) -> np.ndarray:
-    dim = d**n
-    inv = np.argsort(perm)
-    return t4.reshape((d,) * (2 * n)).transpose(inv).reshape(dim, dim)
-
-
 def exact_first_moment_map(op: np.ndarray, region: Region, d: int) -> np.ndarray:
     """Haar average of conjugation by a unitary on the region.
 
@@ -645,10 +634,12 @@ def exact_first_moment_map(op: np.ndarray, region: Region, d: int) -> np.ndarray
     if region.is_empty:
         return op.copy()
     dm = d**region.size
-    t4, perm = _to_blocks(op, region.sites(), n, d)
-    traced = np.einsum('abac->bc', t4)
-    out4 = np.einsum('ac,bd->abcd', np.eye(dm, dtype=complex) / dm, traced)
-    return _from_blocks(out4, perm, n, d)
+    # the operator as a one-sample 2n-site state: index row * d^n + col puts row site s at n + s
+    sites = [n + s for s in region.sites()] + list(region.sites())
+    blocks = _region_factors(op.reshape(1, -1), sites, 2 * n, d)
+    traced = np.einsum('aabc->bc', blocks.reshape(dm, dm, dim // dm, dim // dm))
+    out = np.outer(np.eye(dm, dtype=complex) / dm, traced)[None]
+    return _from_region_factors(out, sites, 2 * n, d).reshape(dim, dim)
 
 
 def _copy_swap_matrix(dm: int) -> np.ndarray:
@@ -674,18 +665,20 @@ def exact_second_moment_projection(op: np.ndarray, region: Region, d: int) -> np
         raise CapExceeded(f"two-copy dimension {dim2} exceeds the cap {MATRIX_DIM_CAP}")
     if region.is_empty:
         return op.copy()
-    # copy-1 site s is pseudo-site n+s, copy-2 site s is pseudo-site s
+    # copy-1 site s is pseudo-site n+s, copy-2 site s is pseudo-site s; then rows and columns
+    # of the operator on the 2n pseudo-sites as in the first moment map: a 4n-site state
     pseudo = [n + s for s in region.sites()] + list(region.sites())
+    sites = [2 * n + p for p in pseudo] + pseudo
     dm = d**region.size
     swap = _copy_swap_matrix(dm)
     eye = np.eye(dm * dm)
-    t4, perm = _to_blocks(op, pseudo, 2 * n, d)
-    out4 = np.zeros_like(t4)
+    blocks = _region_factors(op.reshape(1, -1), sites, 4 * n, d)
+    t4 = blocks.reshape(dm * dm, dm * dm, dim2 // (dm * dm), -1)
+    out = np.zeros_like(blocks)
     for sign in (1.0, -1.0):
         f = (eye + sign * swap) / math.sqrt(2.0 * dm * (dm + sign))
-        y = np.einsum('ka,abkc->bc', f, t4)
-        out4 += np.einsum('ac,bd->abcd', f, y)
-    return _from_blocks(out4, perm, 2 * n, d)
+        out[0] += np.outer(f, np.einsum('ka,akbc->bc', f, t4))
+    return _from_region_factors(out, sites, 4 * n, d).reshape(dim2, dim2)
 
 
 def dense_swap(region: Region, d: int) -> np.ndarray:

@@ -10,7 +10,8 @@ a weighted mixture of region maps, and each stage is one scatter and one
 merge: ``_scatter`` sends the state through a group of the stage's regions at
 once, and ``_mix`` adds the groups' images, in order, into a dense 2^n or a
 sorted accumulator under a byte budget.  The same scatter fills the dense
-step matrices; ``SwapVector`` is the dict form at the API boundary.
+step matrices.  ``SwapVector`` is the dict form at the API boundary, and
+``apply_step`` its one step under every policy that has one.
 Everything here is exact linear algebra; the Monte Carlo cross-check lives in
 ``lrqc.oracle``.
 """
@@ -327,14 +328,15 @@ def _apply_stage(state, maps: tuple, stage: list[tuple[float, int]], n: int, tol
 def _stages(spec: EnsembleSpec, step_index: int | None = None) -> list[list[tuple[float, int]]]:
     """One ensemble step as stages in the order their maps act on swaps, each stage the mixture
     of its (weight, region index) pairs: one per region of a sweep, in its order, with weight 1,
-    or one over the regions of positive weight at that uncorrelated step.  ``step_index=None``
-    asks for the single time-independent step, which Markov and per-step weights lack."""
+    or one over the regions of positive weight at that uncorrelated step.  A Markov ensemble has
+    no step; ``step_index=None`` asks for the single time-independent one, which per-step
+    weights lack."""
     pol = spec.policy
+    if isinstance(pol, Markov):
+        raise ValueError("a Markov ensemble is not a single linear map on the swap basis")
     if isinstance(pol, CorrelatedSweep):
         return [[(1.0, idx)] for idx in pol.order]
     if step_index is None:
-        if isinstance(pol, Markov):
-            raise ValueError("a Markov ensemble is not a single linear map on the swap basis")
         if pol.step_weights is not None:
             raise ValueError("time-dependent weights do not define a single step matrix")
         step_index = 0
@@ -357,39 +359,23 @@ def _to_state(v: SwapVector, n: int):
     return masks[order], np.array(list(v.terms.values()), dtype=float)[order]
 
 
-def _to_vector(v: SwapVector, state) -> SwapVector:
-    terms = {Region(m, v.n): c for m, c in zip(*(a.tolist() for a in state))}
-    return SwapVector(v.n, terms, v.prune_tol)
-
-
 def apply_local(v: SwapVector, local: Region, d: int) -> SwapVector:
     """One Haar-averaged gate on ``local``, extended linearly over the vector.
 
     Swaps whose boundary the gate does not straddle are fixed; the others
     split into an erased and a filled branch.
     """
-    if local.is_empty:
-        raise ValueError("local region must be nonempty")
-    state = _to_state(v, local.n)
-    return _to_vector(v, _apply_stage(state, _region_maps([local], d), [(1.0, 0)], local.n,
-                                      v.prune_tol))
+    return apply_step(v, EnsembleSpec(LocalStructure(local.n, (local,)), Uncorrelated(), d))
 
 
 def apply_step(v: SwapVector, spec: EnsembleSpec, step_index: int = 0) -> SwapVector:
-    """One uncorrelated step: the weighted mixture of all single-region maps."""
-    return _step_vector(v, spec, step_index, Uncorrelated)
-
-
-def apply_sweep(v: SwapVector, spec: EnsembleSpec) -> SwapVector:
-    """One correlated step: all local maps composed in the policy's order."""
-    return _step_vector(v, spec, 0, CorrelatedSweep)
-
-
-def _step_vector(v: SwapVector, spec: EnsembleSpec, j: int, policy: type) -> SwapVector:
-    if not isinstance(spec.policy, policy):
-        raise ValueError(f"this step requires the {policy.__name__} policy, not {spec.policy!r}")
+    """One ensemble step on a dict-form vector: the weighted mixture of all single-region maps
+    at ``step_index`` of an uncorrelated ensemble, or all local maps composed in a correlated
+    sweep's order.  A Markov ensemble has no single step."""
     maps = _region_maps(spec.structure.regions, spec.d)
-    return _to_vector(v, _step(_to_state(v, spec.structure.n), spec, maps, j, v.prune_tol))
+    state = _step(_to_state(v, spec.structure.n), spec, maps, step_index, v.prune_tol)
+    terms = {Region(m, v.n): c for m, c in zip(*(a.tolist() for a in state))}
+    return SwapVector(v.n, terms, v.prune_tol)
 
 
 def contract_factorized(v: SwapVector) -> float:

@@ -12,7 +12,7 @@ from lrqc import (BoundReport, CorrelatedSweep, EnsembleSpec, LocalStructure,
                   path_structure, purity_exact, purity_infinity,
                   purity_trajectory, r1_candidate_spectrum, spectral_gap_swap,
                   swap_constant, t_design_delta)
-from lrqc.bounds import reachable_boundary_range
+from lrqc.bounds import reachable_boundary_column
 
 
 class TestConstants:
@@ -64,12 +64,11 @@ class TestReachableRange:
     def test_depth_zero_and_one(self):
         st = path_structure(5)
         initial = Region.of([0, 1], 5)
-        assert reachable_boundary_range(initial, st, 0) == (0.25, 0.25)
-        assert reachable_boundary_range(initial, st, 1) == (0.25, 0.25)
+        assert reachable_boundary_column(initial, st, 1) == [(0.25, 0.25), (0.25, 0.25)]
 
     def test_absorbing_states_reached(self):
         st = path_structure(5)
-        p_max, p_min = reachable_boundary_range(Region.of([0, 1], 5), st, 2)
+        p_max, p_min = reachable_boundary_column(Region.of([0, 1], 5), st, 2)[2]
         assert p_max == 0.25 and p_min == 0.0
 
 
@@ -100,7 +99,7 @@ class TestAreaLawBound:
         spec = EnsembleSpec(st, Uncorrelated(), d)
         traj = purity_trajectory(initial, spec, 10)
         for k, p_k in enumerate(traj):
-            p_x, p_xt = reachable_boundary_range(initial, st, k)
+            p_x, p_xt = reachable_boundary_column(initial, st, k)[k]
             assert area_law_bound(p_x, p_xt, d, k).value >= p_k - 1e-12
 
     def test_exponential_form_is_weaker(self):

@@ -58,6 +58,30 @@ class TestEvolve:
         for row in rows:
             assert float(row[3]) >= float(row[1]) - 1e-12
 
+    def test_area_law_rejects_step_weights(self, tmp_path, capsys):
+        # every step's weight on {0,1} keeps P_1 = 1, above the bound 0.9333 that the
+        # model's uniform weights give
+        out = tmp_path / "evolve.csv"
+        cfg = base_config(str(out), model={"n": 4, "regions": [[0, 1], [1, 2], [2, 3]]},
+                          policy={"step_weights": [[1.0, 0.0, 0.0]] * 3},
+                          run={"area_law": True})
+        assert run_cli(tmp_path, "evolve", cfg) == 2
+        assert "step_weights" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_area_law_cap_exits_3_before_the_trajectory(self, tmp_path, capsys, monkeypatch):
+        def trajectory(*args):
+            raise AssertionError("the trajectory ran before the area-law enumeration")
+        monkeypatch.setattr("lrqc.cli.purity_trajectory", trajectory)
+        n = 17
+        out = tmp_path / "evolve.csv"
+        cfg = base_config(str(out), model={"n": n, "regions": [[i, i + 1] for i in range(n - 1)]},
+                          run={"initial_region": list(range(0, n, 2)), "k_max": 40,
+                               "area_law": True})
+        assert run_cli(tmp_path, "evolve", cfg) == 3
+        assert "2^16" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_rerun(self, tmp_path):
         out = tmp_path / "evolve.csv"
         cfg = base_config(str(out))

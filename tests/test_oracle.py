@@ -414,6 +414,76 @@ class TestSecondMomentProjection:
         assert np.all(np.abs(mean - want) <= 3 * stderr + 1e-12)
 
 
+def _ref_blocks(op, sites, n, d):
+    """The former block view: a d^n x d^n operator as a (Da, Db, Da, Db) tensor, sites first."""
+    in_region = set(sites)
+    row = ([n - 1 - s for s in sorted(sites, reverse=True)]
+           + [n - 1 - s for s in range(n - 1, -1, -1) if s not in in_region])
+    perm = row + [n + a for a in row]
+    da = d ** len(sites)
+    t = op.reshape((d,) * (2 * n)).transpose(perm)
+    return t.reshape(da, -1, da, op.shape[0] // da), perm
+
+
+def _ref_unblocks(t4, perm, n, d):
+    return t4.reshape((d,) * (2 * n)).transpose(np.argsort(perm)).reshape(d**n, d**n)
+
+
+def _ref_first_moment(op, region, d):
+    """The former first-moment map, on the block view."""
+    n, dm = region.n, d**region.size
+    t4, perm = _ref_blocks(op, region.sites(), n, d)
+    traced = np.einsum('abac->bc', t4)
+    return _ref_unblocks(np.einsum('ac,bd->abcd', np.eye(dm, dtype=complex) / dm, traced),
+                         perm, n, d)
+
+
+def _ref_second_moment(op, region, d):
+    """The former two-copy projection, on the block view of pseudo-sites n+s and s."""
+    n, dm = region.n, d**region.size
+    pseudo = [n + s for s in region.sites()] + list(region.sites())
+    idx = np.arange(dm * dm)
+    swap = np.zeros((dm * dm, dm * dm))
+    swap[(idx % dm) * dm + idx // dm, idx] = 1.0
+    t4, perm = _ref_blocks(op, pseudo, 2 * n, d)
+    out4 = np.zeros_like(t4)
+    for sign in (1.0, -1.0):
+        f = (np.eye(dm * dm) + sign * swap) / math.sqrt(2.0 * dm * (dm + sign))
+        out4 += np.einsum('ac,bd->abcd', f, np.einsum('ka,abkc->bc', f, t4))
+    return _ref_unblocks(out4, perm, 2 * n, d)
+
+
+@st.composite
+def moment_cases(draw, copies):
+    """(op, region, d): a random operator on ``copies`` copies of n sites, within the
+    dense-operator cap, and a nonempty region."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, {(1, 2): 10, (1, 3): 6, (2, 2): 5, (2, 3): 3}[copies, d]))
+    region = Region(draw(st.integers(1, (1 << n) - 1)), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = d ** (copies * n)
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)), region, d
+
+
+class TestMomentMapsPinnedToBlocks:
+    """Both moment maps read an operator as a one-sample state of its row and column sites,
+    and give the former block-view results bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(moment_cases(1))
+    def test_first_moment(self, case):
+        op, region, d = case
+        assert np.array_equal(exact_first_moment_map(op, region, d),
+                              _ref_first_moment(op, region, d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(moment_cases(2))
+    def test_second_moment(self, case):
+        op, region, d = case
+        assert np.array_equal(exact_second_moment_projection(op, region, d),
+                              _ref_second_moment(op, region, d))
+
+
 class TestTraceDistance:
     def test_zero_steps_value(self):
         spec = EnsembleSpec(path_structure(3), Uncorrelated(), 2)

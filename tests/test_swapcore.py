@@ -6,7 +6,7 @@ import pytest
 
 from lrqc import (CapExceeded, CorrelatedSweep, EnsembleSpec, LocalStructure,
                   Markov, Region, SwapVector, Uncorrelated, alpha_coefficients,
-                  apply_local, apply_step, apply_sweep, build_swap_matrix,
+                  apply_local, apply_step, build_swap_matrix,
                   complement_involution, complete_structure, connected_components,
                   contract_factorized, fixed_space_dimension, markov_purity,
                   path_structure, purity_infinity, purity_trajectory,
@@ -152,30 +152,48 @@ class TestApplyStep:
         with pytest.raises(ValueError):
             apply_step(v, spec, 2)
 
+    @pytest.mark.parametrize("policy", [
+        Uncorrelated(),
+        Uncorrelated(step_weights=((1.0, 0.0, 0.0), (0.2, 0.3, 0.5), (0.0, 0.5, 0.5),
+                                   (0.0, 0.0, 1.0), (0.6, 0.0, 0.4))),
+        CorrelatedSweep((2, 0, 1)),
+    ], ids=["uncorrelated", "step-weights", "sweep"])
+    def test_iterated_steps_match_trajectory(self, policy):
+        spec = EnsembleSpec(path_structure(4), policy, 3)
+        initial = Region.of([0, 2], 4)
+        v, got = SwapVector.single(initial), [1.0]
+        for j in range(5):
+            v = apply_step(v, spec, j)
+            got.append(contract_factorized(v))
+        want = purity_trajectory(initial, spec, 5)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
 
 class TestApplySweep:
     def test_identity_fixed(self):
         spec = EnsembleSpec(path_structure(3), CorrelatedSweep((0, 1)), 2)
-        out = apply_sweep(SwapVector.single(Region.empty(3)), spec)
+        out = apply_step(SwapVector.single(Region.empty(3)), spec)
         assert terms_close(out, {Region.empty(3): 1.0})
 
     def test_single_region_sweep_is_apply_local(self):
         st = LocalStructure(2, (Region.of([0, 1], 2),))
         spec = EnsembleSpec(st, CorrelatedSweep((0,)), 2)
-        out = apply_sweep(single([0], 2), spec)
+        out = apply_step(single([0], 2), spec)
         assert terms_close(out, dict(apply_local(single([0], 2), st.regions[0], 2).terms))
 
     def test_composition_order(self):
         st = path_structure(3)
         spec = EnsembleSpec(st, CorrelatedSweep((0, 1)), 2)
-        got = apply_sweep(single([0], 3), spec)
+        got = apply_step(single([0], 3), spec)
         want = apply_local(apply_local(single([0], 3), st.regions[0], 2), st.regions[1], 2)
         assert terms_close(got, dict(want.terms))
 
     def test_wrong_policy_rejected(self):
-        spec = EnsembleSpec(path_structure(3), Uncorrelated(), 2)
-        with pytest.raises(ValueError):
-            apply_sweep(single([0], 3), spec)
+        # a Markov ensemble has no single step, whichever step is asked for
+        spec = EnsembleSpec(path_structure(3), Markov((0.5, 0.5), ((0.5, 0.5), (0.5, 0.5))), 2)
+        for j in (0, 1):
+            with pytest.raises(ValueError, match="Markov ensemble is not"):
+                apply_step(single([0], 3), spec, j)
 
 
 class TestMarkov:
@@ -258,7 +276,7 @@ class TestTrajectory:
         spec = EnsembleSpec(path_structure(3), CorrelatedSweep((0, 1)), 2)
         ps = purity_trajectory(Region.of([0], 3), spec, 2)
         v = SwapVector.single(Region.of([0], 3))
-        v = apply_sweep(v, spec)
+        v = apply_step(v, spec)
         assert ps[1] == pytest.approx(contract_factorized(v), abs=1e-14)
 
 
