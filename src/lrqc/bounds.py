@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .regions import Region, in_boundary
-from .swapcore import LocalStructure, split_by_region
+from .swapcore import LocalStructure, _groups, _region_maps, _scatter
 
 MAX_CANDIDATE_REGIONS = 20
 
@@ -57,28 +57,33 @@ def reachable_boundary_column(initial: Region, structure: LocalStructure,
                               k_max: int) -> list[tuple[float, float]]:
     """Largest and smallest boundary weights of the regions reachable in <= k moves, k = 0..k_max.
 
-    One breadth-first search serves every k.  A move joins or subtracts a local region
-    straddling the current region's boundary; these are exactly the regions the evolved
-    swap can visit.  Feeds ``area_law_bound`` with honest pX and pXtilde values.
-    """
+    One breadth-first search serves every k, each depth one ``_scatter`` pass of the swap-map
+    kernel: a move erases or fills a region of positive weight straddling the current region's
+    boundary, exactly as the evolved swap can.  Feeds ``area_law_bound``."""
     if initial.n != structure.n:
         raise ValueError("initial region universe does not match the structure")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    moves = [(np.uint64(r.bits), q) for r, q in zip(structure.regions, structure.weight_vector())]
+    stage = [(q, idx) for idx, q in enumerate(structure.weight_vector()) if q]  # as in _stages
+    maps = _region_maps(structure.regions, 2)  # d only sets the branch weights, unused here
     seen = frontier = np.array([initial.bits], dtype=np.uint64)
     p_max, p_min, out = -math.inf, math.inf, []
     for depth in range(k_max + 1):
         probs, reached = np.zeros(frontier.size), []
-        for mask, q in moves:
-            moved = split_by_region(frontier, mask)[1]
-            probs[moved] += q
-            reached += [frontier[moved] & ~mask, frontier[moved] | mask]
+        for q, idx in _groups(stage, frontier.size):
+            erased, _, (row, src, filled, _) = _scatter(frontier, maps, list(idx))
+            np.add.at(probs, src, np.array(q)[row])  # region order, as a per-region loop adds
+            reached += [erased[row, src], filled]
         p_max, p_min = float(probs.max(initial=p_max)), float(probs.min(initial=p_min))
         out.append((p_max, p_min))
-        if depth < k_max:
-            frontier = np.setdiff1d(np.concatenate(reached), seen)
-            seen = np.union1d(seen, frontier)
+        if depth < k_max:  # the images, sorted in place and made unique, minus those seen
+            reached = np.concatenate(reached)
+            reached.sort()
+            reached = np.append(reached[:1], reached[1:][reached[1:] != reached[:-1]])
+            at = np.searchsorted(seen, reached)
+            new = np.searchsorted(seen, reached, side="right") == at
+            frontier = reached[new]
+            seen = np.insert(seen, at[new], frontier)
             if seen.size > 1 << 16:
                 raise CapExceeded("reachable-region enumeration exceeded 2^16 regions")
     return out

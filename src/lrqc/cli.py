@@ -124,8 +124,11 @@ def cmd_evolve(cfg: ExperimentConfig) -> ResultTable:
     spec = spec_from_config(cfg)
     initial = _initial_region(cfg, n)
     k_max = run_int(cfg, "k_max")
+    wanted = cfg.run.get("area_law", False)
+    if not isinstance(wanted, bool):
+        raise ValidationError(f"run.area_law must be true or false, got {wanted!r}")
     area_law = {}
-    if cfg.run.get("area_law"):  # before the trajectory, so that a refusal costs none of it
+    if wanted:  # before the trajectory, so that a refusal costs none of it
         if not isinstance(spec.policy, Uncorrelated) or spec.policy.step_weights is not None:
             raise ValidationError("the area-law column reads model.weights, so it applies to "
                                   "the uncorrelated policy without policy.step_weights only")
@@ -373,6 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.format is not None:
             cfg.output["format"] = args.format
         out_path = cfg.output.get("path")
+        if out_path is not None and not isinstance(out_path, str):
+            raise ValidationError(f"output.path must be a string, got {out_path!r}")
         if not out_path:
             raise ValidationError("an output path is required (output.path or --out)")
         fmt = cfg.output.get("format", "csv")

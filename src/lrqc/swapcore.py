@@ -242,13 +242,6 @@ def _region_maps(regions: Sequence[Region], d: int) -> tuple[np.ndarray, np.ndar
     return np.array([r.bits for r in regions], dtype=np.uint64), table
 
 
-def split_by_region(masks: np.ndarray, mask: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the swap masks a gate on ``mask`` fixes, and of those it straddles."""
-    inter = masks & mask
-    hit = (inter != 0) & (inter != mask)
-    return np.flatnonzero(~hit), np.flatnonzero(hit)
-
-
 def _scatter(masks: np.ndarray, maps: tuple, idx: list[int]) -> tuple[np.ndarray, ...]:
     """Where the gates on regions ``idx`` send the swaps of ``masks``, a sorted mask array.
 
@@ -278,10 +271,9 @@ def _region_major(first: np.ndarray, second: np.ndarray, row: np.ndarray) -> np.
                            for part in (f, second[ends[g]:ends[g + 1]])])
 
 
-def _image(state, maps: tuple, group: list[tuple[float, int]]) -> tuple[np.ndarray, ...]:
-    """The gate images of ``state`` under a group of (weight, region index) pairs, before equal
+def _image(state, maps: tuple, q: tuple, idx: tuple) -> tuple[np.ndarray, ...]:
+    """The gate images of ``state`` under the regions ``idx`` weighted by ``q``, before equal
     masks are merged: target masks and weighted terms, region by region."""
-    q, idx = zip(*group)
     masks, coefs = state
     dst, weight, (row, src, dst2, weight2) = _scatter(masks, maps, list(idx))
     q = np.array(q)
@@ -315,13 +307,15 @@ def _mix(images, entries: int, n: int, tol: float):
     return masks[keep], coefs[keep]
 
 
-def _apply_stage(state, maps: tuple, stage: list[tuple[float, int]], n: int, tol: float):
-    """One stage, the mixture of its (weight, region index) pairs, on an array state.
+def _groups(stage: list[tuple[float, int]], masks: int) -> list[tuple[tuple, tuple]]:
+    """The stage's weights and region indices, in groups sized by ``_MERGE_BYTES`` for ``masks``."""
+    size = max(1, _MERGE_BYTES // (_MASK_BYTES * max(1, masks)))
+    return [tuple(zip(*stage[lo:lo + size])) for lo in range(0, len(stage), size)]
 
-    Regions are scattered in groups whose images fit ``_MERGE_BYTES``, one merge per stage.
-    """
-    size = max(1, _MERGE_BYTES // (_MASK_BYTES * max(1, state[0].size)))
-    images = (_image(state, maps, stage[lo:lo + size]) for lo in range(0, len(stage), size))
+
+def _apply_stage(state, maps: tuple, stage: list[tuple[float, int]], n: int, tol: float):
+    """One stage, the mixture of its (weight, region index) pairs, on an array state."""
+    images = (_image(state, maps, q, idx) for q, idx in _groups(stage, state[0].size))
     return _mix(images, len(stage) * state[0].size, n, tol)
 
 

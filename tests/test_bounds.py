@@ -66,6 +66,16 @@ class TestReachableRange:
         initial = Region.of([0, 1], 5)
         assert reachable_boundary_column(initial, st, 1) == [(0.25, 0.25), (0.25, 0.25)]
 
+    def test_zero_weight_regions_are_no_moves(self):
+        # only the last edge is ever drawn, so the swap of {0} stays put and P_k = 1
+        st = LocalStructure(5, path_structure(5).regions, (0.0, 0.0, 0.0, 1.0))
+        initial = Region.of([0], 5)
+        column = reachable_boundary_column(initial, st, 4)
+        assert column == [(0.0, 0.0)] * 5
+        assert [area_law_bound(p_x, p_xt, 2, k).value
+                for k, (p_x, p_xt) in enumerate(column)] == [1.0] * 5
+        assert purity_trajectory(initial, EnsembleSpec(st, Uncorrelated(), 2), 4) == [1.0] * 5
+
     def test_absorbing_states_reached(self):
         st = path_structure(5)
         p_max, p_min = reachable_boundary_column(Region.of([0, 1], 5), st, 2)[2]

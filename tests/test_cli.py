@@ -58,6 +58,28 @@ class TestEvolve:
         for row in rows:
             assert float(row[3]) >= float(row[1]) - 1e-12
 
+    @pytest.mark.parametrize("flag", ["no", 1])
+    def test_area_law_must_be_a_boolean(self, tmp_path, capsys, flag):
+        out = tmp_path / "evolve.csv"
+        assert run_cli(tmp_path, "evolve", base_config(str(out), run={"area_law": flag})) == 2
+        assert "run.area_law" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_area_law_false_adds_no_column(self, tmp_path):
+        out = tmp_path / "evolve.csv"
+        assert run_cli(tmp_path, "evolve", base_config(str(out), run={"area_law": False})) == 0
+        assert read_csv(out)[0] == ["k", "P_k", "P_infinity"]
+
+    def test_area_law_ignores_zero_weight_regions(self, tmp_path):
+        # only the last edge is ever drawn, so neither P_k nor the bound leaves 1
+        out = tmp_path / "evolve.csv"
+        cfg = base_config(str(out), model={"weights": [0, 0, 0, 1]},
+                          run={"initial_region": [0], "k_max": 4, "area_law": True})
+        assert run_cli(tmp_path, "evolve", cfg) == 0
+        header, rows = read_csv(out)
+        assert header[-1] == "area_law_bound"
+        assert all(float(row[1]) == float(row[3]) == 1.0 for row in rows)
+
     def test_area_law_rejects_step_weights(self, tmp_path, capsys):
         # every step's weight on {0,1} keeps P_1 = 1, above the bound 0.9333 that the
         # model's uniform weights give
@@ -559,6 +581,13 @@ class TestValidation:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["evolve", "--config", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("path", [5, ["x.csv"]])
+    def test_output_path_must_be_a_string(self, tmp_path, capsys, monkeypatch, path):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(tmp_path, "evolve", base_config(path)) == 2
+        assert capsys.readouterr().err.startswith("error: output.path must be a string")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_missing_output_path(self, tmp_path):
         cfg = base_config("x.csv")
         del cfg["output"]["path"]
@@ -589,3 +618,17 @@ def test_import_leaves_numpy_random_unloaded():
     env = dict(os.environ, PYTHONPATH=path)
     code = "import sys, lrqc.cli; sys.exit('numpy.random' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_area_law_evolve_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique without indices, as np.setdiff1d and np.union1d call it, loads numpy.ma
+    src = str(Path(lrqc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(base_config(str(tmp_path / "out.csv"),
+                                             run={"area_law": True, "k_max": 5})))
+    code = ("import sys, lrqc.cli; code = lrqc.cli.main(['evolve', '--config', sys.argv[1]]); "
+            "sys.exit(code or 10 * ('numpy.ma' in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code, str(config)], env=env).returncode == 0
+    assert (tmp_path / "out.csv").exists()

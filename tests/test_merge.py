@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from lrqc import (CorrelatedSweep, EnsembleSpec, LocalStructure, Markov, PathParams, Region,
                   Uncorrelated, path_structure, purity_exact, purity_trajectory, swapcore)
 from lrqc.swapcore import (DEFAULT_PRUNE_TOL, _alpha, _apply_stage, _markov_branches,
-                           _region_maps, _stages, _step, split_by_region)
+                           _region_maps, _stages, _step)
 
 
 def ref_region_map(region, d):
@@ -27,7 +27,9 @@ def ref_region_map(region, d):
 
 
 def ref_scatter(masks, mask, sites, plus, minus):
-    kept, moved = split_by_region(masks, mask)
+    common = masks & mask
+    straddled = (common != 0) & (common != mask)
+    kept, moved = np.flatnonzero(~straddled), np.flatnonzero(straddled)
     hit = masks[moved]
     inter = sum((hit >> np.uint64(s)) & np.uint64(1) for s in sites)
     src = np.concatenate((kept, moved, moved))
@@ -160,9 +162,9 @@ def test_small_budgets_split_stages_into_groups():
     maps, stage = _region_maps(spec.structure.regions, spec.d), _stages(spec)[0]
     image, seen = swapcore._image, []
 
-    def spy(state, maps, group):
-        seen.append(len(group))
-        return image(state, maps, group)
+    def spy(state, maps, q, idx):
+        seen.append(len(idx))
+        return image(state, maps, q, idx)
 
     with _budget((swapcore._MASK_BYTES * 86 * 3, 0)), mock.patch.object(swapcore, "_image", spy):
         got = _apply_stage(state, maps, stage, 8, 0.0)

@@ -6,6 +6,7 @@ the vectorized kernel, the dense step matrices and the one-pass area-law
 search are each checked against an independent route.
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from lrqc import (CapExceeded, CorrelatedSweep, EnsembleSpec, LocalStructure, Markov, Region,
                   SwapVector, Uncorrelated, apply_local, apply_step, build_swap_matrix,
-                  path_structure, purity_trajectory)
+                  path_structure, purity_trajectory, swapcore)
 from lrqc.bounds import boundary_probability, reachable_boundary_column
 
 TOL = 1e-15
@@ -82,6 +83,27 @@ def ref_boundary_range(initial, structure, depth):
         seen = seen | frontier
     probs = [boundary_probability(Region(mask, structure.n), structure) for mask in seen]
     return max(probs), min(probs)
+
+
+def ref_column(initial, structure, k_max):
+    """The former per-region breadth-first search, one mask filter per region and depth; it also
+    moved by regions of weight 0, so it is the reference for positive weights only."""
+    moves = [(np.uint64(r.bits), q) for r, q in zip(structure.regions, structure.weight_vector())]
+    seen = frontier = np.array([initial.bits], dtype=np.uint64)
+    p_max, p_min, out = -math.inf, math.inf, []
+    for depth in range(k_max + 1):
+        probs, reached = np.zeros(frontier.size), []
+        for mask, q in moves:
+            common = frontier & mask
+            moved = np.flatnonzero((common != 0) & (common != mask))
+            probs[moved] += q
+            reached += [frontier[moved] & ~mask, frontier[moved] | mask]
+        p_max, p_min = float(probs.max(initial=p_max)), float(probs.min(initial=p_min))
+        out.append((p_max, p_min))
+        if depth < k_max:
+            frontier = np.setdiff1d(np.concatenate(reached), seen)
+            seen = np.union1d(seen, frontier)
+    return out
 
 
 def close(a, b, rel=1e-12):
@@ -177,6 +199,58 @@ def test_one_pass_area_law_column_matches_per_depth_search(structure, data):
     for k, (p_max, p_min) in enumerate(column):
         want_max, want_min = ref_boundary_range(initial, structure, k)
         assert abs(p_max - want_max) <= 1e-12 and abs(p_min - want_min) <= 1e-12
+
+
+# (merge bytes, dense ratio): one region per group, sorted merge; a few regions per group,
+# sorted; a dense accumulator wherever one fits at n <= 8; the defaults
+budgets = st.sampled_from([(1, 0), (swapcore._MASK_BYTES * 30, 0), (1 << 13, 1 << 20),
+                           (swapcore._MERGE_BYTES, swapcore._DENSE_RATIO)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(structures(), budgets, st.data())
+def test_area_law_column_is_the_per_region_search_bit_for_bit(structure, budget, data):
+    n = structure.n
+    initial = Region(data.draw(st.integers(0, (1 << n) - 1)), n)
+    k_max = data.draw(st.integers(0, 6))
+    merge_bytes, ratio = budget
+    with mock.patch.multiple(swapcore, _MERGE_BYTES=merge_bytes, _DENSE_RATIO=ratio):
+        assert reachable_boundary_column(initial, structure, k_max) == ref_column(
+            initial, structure, k_max)
+
+
+@pytest.mark.parametrize("sites", [[], [0, 1, 2, 3], [0]])
+def test_area_law_column_after_the_frontier_empties(sites):
+    # a full or empty region has no boundary; {0} under the one edge {0,1} reaches {} and
+    # {0,1} in one move, and then nothing more
+    n = 4
+    structure = LocalStructure(n, (Region.of([0, 1], n),))
+    initial = Region.of(sites, n)
+    column = reachable_boundary_column(initial, structure, 5)
+    assert column == ref_column(initial, structure, 5)
+    assert column == ([(1.0, 1.0)] + [(1.0, 0.0)] * 5 if sites == [0] else [(0.0, 0.0)] * 6)
+
+
+@pytest.mark.parametrize("budget", [(1, 0), (swapcore._MERGE_BYTES, swapcore._DENSE_RATIO)])
+def test_area_law_column_on_64_site_masks(budget):
+    n = 64
+    structure = path_structure(n)
+    merge_bytes, ratio = budget
+    for initial in (Region.of(range(0, n, 2), n), Region.of([n - 1], n), Region.of([0, 63], n)):
+        with mock.patch.multiple(swapcore, _MERGE_BYTES=merge_bytes, _DENSE_RATIO=ratio):
+            assert reachable_boundary_column(initial, structure, 3) == ref_column(
+                initial, structure, 3)
+
+
+def test_area_law_n17_column_and_cap_with_one_region_per_group():
+    n = 17
+    structure = path_structure(n)
+    initial = Region.of(range(0, n, 2), n)
+    with mock.patch.multiple(swapcore, _MERGE_BYTES=1, _DENSE_RATIO=0):
+        assert reachable_boundary_column(initial, structure, 6) == ref_column(
+            initial, structure, 6)
+        with pytest.raises(CapExceeded, match="2\\^16"):
+            reachable_boundary_column(initial, structure, 40)
 
 
 def test_area_law_enumeration_cap_still_raises():
