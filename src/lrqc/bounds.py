@@ -16,6 +16,7 @@ from .regions import Region, in_boundary
 from .swapcore import LocalStructure, _groups, _region_maps, _scatter
 
 MAX_CANDIDATE_REGIONS = 20
+_ENUMERATION_BYTES = 1 << 25  # bytes of one search depth's images and their merge copies
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,13 @@ def reachable_boundary_column(initial: Region, structure: LocalStructure,
 
     One breadth-first search serves every k, each depth one ``_scatter`` pass of the swap-map
     kernel: a move erases or fills a region of positive weight straddling the current region's
-    boundary, exactly as the evolved swap can.  Feeds ``area_law_bound``."""
+    boundary, exactly as the evolved swap can.  Feeds ``area_law_bound``.
+
+    Every depth but the last keeps its images to find the next frontier, and counts them
+    first against ``_ENUMERATION_BYTES``: up to two 8-byte masks per frontier swap and region,
+    held by the scattered pieces and their concatenation, the sorted unique copies, or
+    ``searchsorted``'s two index arrays, at most three such arrays at once, with their
+    comparison masks less than a fourth."""
     if initial.n != structure.n:
         raise ValueError("initial region universe does not match the structure")
     if k_max < 0:
@@ -69,14 +76,20 @@ def reachable_boundary_column(initial: Region, structure: LocalStructure,
     seen = frontier = np.array([initial.bits], dtype=np.uint64)
     p_max, p_min, out = -math.inf, math.inf, []
     for depth in range(k_max + 1):
+        grow = depth < k_max
+        need = 4 * 2 * 8 * len(stage) * frontier.size if grow else 0
+        if need > _ENUMERATION_BYTES:
+            raise CapExceeded(f"reachable-region enumeration at depth {depth} needs {need} bytes, "
+                              f"over its budget of {_ENUMERATION_BYTES} bytes")
         probs, reached = np.zeros(frontier.size), []
         for q, idx in _groups(stage, frontier.size):
             erased, _, (row, src, filled, _) = _scatter(frontier, maps, list(idx))
             np.add.at(probs, src, np.array(q)[row])  # region order, as a per-region loop adds
-            reached += [erased[row, src], filled]
+            if grow:
+                reached += [erased[row, src], filled]
         p_max, p_min = float(probs.max(initial=p_max)), float(probs.min(initial=p_min))
         out.append((p_max, p_min))
-        if depth < k_max:  # the images, sorted in place and made unique, minus those seen
+        if grow:  # the images, sorted in place and made unique, minus those seen
             reached = np.concatenate(reached)
             reached.sort()
             reached = np.append(reached[:1], reached[1:][reached[1:] != reached[:-1]])

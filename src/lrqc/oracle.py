@@ -10,18 +10,19 @@ ascending order with the lowest site least significant.  Monte Carlo sample s
 owns the random stream ``np.random.default_rng((seed, 0, s))`` (circuit draws)
 or ``np.random.default_rng((seed, 1, s))`` (reference Haar states), bit for
 bit; ``_streams`` builds them with the seeds of a whole chunk hashed in one
-pass.  Uncorrelated and Markov gates each draw one uniform to pick the region,
-then the gate's Gaussians; a correlated sweep draws no uniform and one block of
-Gaussians per step, which the gates of its pass slice in order, the same
-sequence as drawing gate by gate.  Gates of dimension up to
-_GRAM_SCHMIDT_MAX_DIM = 7 are made by Gram-Schmidt, larger ones by QR.  So
-trajectories of different lengths share their common prefix, and a sample's
-values depend only on its own stream, never on the chunk, gate batch or
-reduction sub-batch it falls in.
+pass.  Every policy runs the same step loop: a step is one region index per
+sample and gate, and each stream draws that step's Gaussians as one block,
+which the step's gates slice in order, the same sequence as drawing gate by
+gate.  Uncorrelated and Markov steps have one gate, whose region each stream
+picks with one uniform drawn before the Gaussians, a whole chunk's picks made
+at once; a correlated sweep's step is its pass and draws no uniform.  Gates of
+dimension up to _GRAM_SCHMIDT_MAX_DIM = 7 are made by Gram-Schmidt, larger ones
+by QR.  So trajectories of different lengths share their common prefix, and a
+sample's values depend only on its own stream, never on the chunk, gate batch
+or reduction sub-batch it falls in.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,7 +39,7 @@ MATRIX_DIM_CAP = 1 << 10
 SUPEROP_DIM_CAP = 1 << 12
 _NORM_TOL = 1e-10
 _CHUNK_BYTES = 1 << 28  # bytes held per batch of samples, counted by _chunks
-_GENERATOR_BYTES = 3 << 9  # a per-sample Generator and its region draws: 1.3 kB by tracemalloc
+_GENERATOR_BYTES = 3 << 9  # a per-sample Generator: 793 B at its peak by tracemalloc
 _REDUCE_BYTES = 1 << 22  # bytes of factors and products per reduction sub-batch
 _GRAM_SCHMIDT_MAX_DIM = 7  # largest gate made by Gram-Schmidt, not QR: the measured crossover
 
@@ -281,43 +282,36 @@ def reduced_purity(state: DenseState, region: Region) -> float:
 # Region sequence sampling
 # ---------------------------------------------------------------------------
 
-def _pick(cum: list[float], u: float) -> int:
-    """First index whose cumulative weight exceeds u; the last if rounding leaves none."""
-    return min(bisect.bisect_right(cum, u), len(cum) - 1)
+def _region_steps(spec: EnsembleSpec, k: int, streams: Sequence) -> Iterator[np.ndarray]:
+    """k steps' region indices for the given streams, each step a (streams, gates) array in
+    gate order.
 
-
-def _cumulative(weights) -> list[float]:
-    """Cumulative weights cut after the first entry equal to the total, so that ``_pick``'s
-    fallback to the last index never lands on a trailing region of weight zero."""
-    cum = np.cumsum(weights).tolist()
-    return cum[:cum.index(cum[-1]) + 1]
-
-
-def _region_draws(spec: EnsembleSpec, k: int):
-    """A sweep's pass in gate order (None for drawn regions), and a per-stream
-    generator of k steps' region indices in gate order.
-
-    Uncorrelated and Markov gates draw one uniform each from the stream.  A
-    sweep draws none and runs its pass reversed: order[0]'s map acts on the
-    swap first, so its gate is applied last.
+    A drawn step takes one uniform u from each stream and picks every stream's region at once
+    from a table of cumulative weights: one row per uncorrelated step, or the Markov initial
+    row and then the row of the previous region.  A row is +inf after its first entry equal
+    to its total, so the pick min(#entries <= u, that entry's index) never lands on a
+    trailing region of weight zero.  A sweep draws no uniform and its step is its pass
+    reversed: order[0]'s map acts on the swap first, so its gate is applied last.
     """
     pol = spec.policy
     if isinstance(pol, CorrelatedSweep):
-        gates = tuple(reversed(pol.order))
-        return gates, lambda stream: (r for _ in range(k) for r in gates)
-    if isinstance(pol, Uncorrelated):
-        cums = [_cumulative(spec.step_weights(j)) for j in range(k)]
-        return None, lambda stream: (_pick(cum, stream.random()) for cum in cums)
-    cum_init = _cumulative(pol.initial)
-    cum_rows = [_cumulative(row) for row in pol.matrix]
-
-    def markov(stream: np.random.Generator):
-        cum = cum_init
+        step = np.broadcast_to(pol.order[::-1], (len(streams), len(pol.order)))
         for _ in range(k):
-            r = _pick(cum, stream.random())
-            yield r
-            cum = cum_rows[r]
-    return None, markov
+            yield step
+        return
+    markov = not isinstance(pol, Uncorrelated)
+    rows = [pol.initial, *pol.matrix] if markov else [spec.step_weights(j) for j in range(k)]
+    if not rows:  # an uncorrelated circuit of no steps
+        return
+    cum = np.cumsum(rows, axis=1)
+    last = (cum == cum[:, -1:]).argmax(axis=1)
+    cum[np.arange(cum.shape[1]) > last[:, None]] = np.inf
+    row = np.zeros(len(streams), dtype=np.intp)
+    for j in range(1, k + 1):
+        u = np.fromiter((stream.random() for stream in streams), float, len(streams))
+        picked = np.minimum((cum[row] <= u[:, None]).sum(axis=1), last[row])
+        yield picked[:, None]
+        row = picked + 1 if markov else np.full(len(streams), j)
 
 
 def sample_regions(spec: EnsembleSpec, k: int, stream: np.random.Generator) -> list[Region]:
@@ -328,8 +322,7 @@ def sample_regions(spec: EnsembleSpec, k: int, stream: np.random.Generator) -> l
     if k < 0:
         raise ValueError("k must be >= 0")
     regions = spec.structure.regions
-    _, draws = _region_draws(spec, k)
-    return [regions[r] for r in draws(stream)]
+    return [regions[r] for step in _region_steps(spec, k, [stream]) for r in step[0].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -458,48 +451,52 @@ def _simulate(spec: EnsembleSpec, k_max: int,
     n, d = cfg.n, cfg.d
     regions = spec.structure.regions
     site_lists = [r.sites() for r in regions]
-    dims = [d**r.size for r in regions]
-    sizes = [2 * m * m for m in dims]  # Gaussians per gate
-    sweep, draws = _region_draws(spec, k_max)
-    if sweep is not None:
-        # every sample runs the same pass: one block of Gaussians per step,
-        # which the gates slice in order, each acting on the whole batch
-        offsets = np.cumsum([0] + [sizes[r] for r in sweep]).tolist()
+    dims = np.array([d**r.size for r in regions])
+    sizes = 2 * dims * dims  # Gaussians per gate
+    pol = spec.policy
+    # a sample's Gaussians per step: a sweep's whole pass, or its largest gate
+    width = int(sizes[list(pol.order)].sum() if isinstance(pol, CorrelatedSweep) else sizes.max())
 
     def apply(states: np.ndarray, r: int, z: np.ndarray) -> np.ndarray:
         """Apply region r's Haar gates, one per row of Gaussians z, to the batch."""
-        gates = _haar_from_gaussians(z[:, :sizes[r]].reshape(-1, 2, dims[r], dims[r]))
+        gates = _haar_from_gaussians(z.reshape(-1, 2, dims[r], dims[r]))
         return _apply_gates_batch(states, site_lists[r], gates, n, d)
 
-    # each sample's Gaussians, and six gate-sized arrays while its Haar gate is made
-    gaussians = offsets[-1] if sweep is not None else max(sizes)
-    for lo, hi in _chunks(cfg, 8 * gaussians + 6 * 16 * max(dims) ** 2):
+    # a sample holds its Gaussians, six gate-sized arrays while its Haar gate is made, and its
+    # pick: its uniform, the gathered row of cumulative weights and its comparison, and a few
+    # index words (165 B at path n = 5 by tracemalloc)
+    extra = 8 * width + 6 * 16 * int(dims.max()) ** 2 + 160 + 9 * len(regions)
+    for lo, hi in _chunks(cfg, extra):
         rngs = _streams(cfg.seed, 0, lo, hi)
         states = np.zeros((hi - lo, d**n), dtype=complex)
         states[:, 0] = 1.0
         yield 0, states, lo
-        if sweep is not None:
-            block = np.empty((hi - lo, offsets[-1]))
-            for j in range(1, k_max + 1):
-                for rng, row in zip(rngs, block):
-                    rng.standard_normal(out=row)
-                for r, a, b in zip(sweep, offsets, offsets[1:]):
-                    states = apply(states, r, block[:, a:b])
-                yield j, states, lo
-            continue
-        picks = [draws(rng) for rng in rngs]
-        block = np.empty((hi - lo, max(sizes)))
-        for j in range(1, k_max + 1):
-            # streams are independent, so drawing every region before any
-            # Gaussians keeps each stream's own order
-            picked = [next(pick) for pick in picks]
-            for rng, r, row in zip(rngs, picked, block):
-                rng.standard_normal(out=row[:sizes[r]])
-            ridx = np.array(picked)
-            for r in np.unique(ridx):
-                sel = np.flatnonzero(ridx == r)
-                states[sel] = apply(states[sel], r, block[sel])
+        block = np.empty((hi - lo, width))
+        for j, picked in enumerate(_region_steps(spec, k_max, rngs), 1):
+            # a slot's gates start at one offset in every sample: a drawn step has one slot,
+            # and a sweep's samples run the same pass
+            first = sizes[picked[0]]
+            starts = (first.cumsum() - first).tolist()
+            # each stream has drawn its step's region, and now draws that step's Gaussians
+            for rng, row, end in zip(rngs, block, (starts[-1] + sizes[picked[:, -1]]).tolist()):
+                rng.standard_normal(out=row[:end])
+            for col, a in zip(picked.T, starts):
+                present = np.unique(col).tolist()
+                for r in present:
+                    z = block[:, a:a + sizes[r]]
+                    if len(present) == 1:
+                        states = apply(states, r, z)  # the whole batch, without a gather
+                    else:
+                        sel = np.flatnonzero(col == r)
+                        states[sel] = apply(states[sel], r, z[sel])
             yield j, states, lo
+
+
+def _region_sites(region: Region, cfg: OracleConfig) -> tuple[int, ...]:
+    """The sites of a region of the config's system."""
+    if region.n != cfg.n:
+        raise ValueError("region universe does not match the oracle config")
+    return region.sites()
 
 
 def _estimate(values: np.ndarray) -> MomentEstimate:
@@ -518,7 +515,7 @@ def mc_purity_trajectory(spec: EnsembleSpec, initial_region: Region, k_max: int,
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    sites = initial_region.sites()
+    sites = _region_sites(initial_region, cfg)
     values = np.empty((k_max + 1, cfg.samples))
     for j, states, lo in _simulate(spec, k_max, cfg):
         values[j, lo:lo + states.shape[0]] = _purity_batch(states, sites, cfg.n, cfg.d)
@@ -536,10 +533,10 @@ def mc_trace_distance(spec: EnsembleSpec, region: Region, k: int,
     """Average trace-norm distance of the region's reduced state from maximally mixed."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    sites = _region_sites(region, cfg)
     dm = cfg.d**region.size
     if dm > MATRIX_DIM_CAP:
         raise CapExceeded(f"reduced dimension {dm} exceeds the eigensolver cap {MATRIX_DIM_CAP}")
-    sites = region.sites()
     values = np.empty(cfg.samples)
     for j, states, lo in _simulate(spec, k, cfg):
         if j != k:
@@ -582,10 +579,10 @@ def mc_design_distance(spec: EnsembleSpec, region: Region, k: int, t: int,
     """
     if k < 0 or t < 1:
         raise ValueError("need k >= 0 and t >= 1")
+    sites = _region_sites(region, cfg)
     dm = cfg.d**region.size
     if dm**t > MATRIX_DIM_CAP:
         raise CapExceeded(f"moment dimension {dm}^{t} exceeds the cap {MATRIX_DIM_CAP}")
-    sites = region.sites()
     n_first = (cfg.samples + 1) // 2
     moment_bytes = 16 * sum(dm ** (2 * i) for i in range(2, t + 1))  # the Kronecker powers
 

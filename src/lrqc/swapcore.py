@@ -344,6 +344,13 @@ def _step(state, spec: EnsembleSpec, maps: tuple, step_index: int, tol: float):
     return state
 
 
+def _single_state(region: Region, n: int):
+    """The array state of one region's swap with coefficient 1."""
+    if region.n != n:
+        raise ValueError(f"region universe {region.n} does not match n={n}")
+    return np.array([region.bits], dtype=np.uint64), np.ones(1)
+
+
 def _to_state(v: SwapVector, n: int):
     """The array state of a vector: its masks sorted, as the kernel needs them."""
     if v.n != n:
@@ -415,7 +422,7 @@ def _markov_branches(initial: Region, spec: EnsembleSpec):
     """``markov_purity``'s swap vectors, one per region index, after each further draw."""
     n, tol = spec.structure.n, DEFAULT_PRUNE_TOL
     maps = _region_maps(spec.structure.regions, spec.d)
-    base = _to_state(SwapVector.single(initial), n)
+    base = _single_state(initial, n)
 
     def mixture(row):  # the branches weighted by a transition row, in one merge
         used = [(w, b) for w, b in zip(row, branches) if w]
@@ -439,7 +446,7 @@ def purity_trajectory(initial: Region, spec: EnsembleSpec, k_max: int) -> list[f
         raise ValueError("k_max must be >= 0")
     if isinstance(spec.policy, Markov):
         return markov_purity(initial, spec, k_max)
-    state = _to_state(SwapVector.single(initial), spec.structure.n)
+    state = _single_state(initial, spec.structure.n)
     maps = _region_maps(spec.structure.regions, spec.d)
     out = [1.0]
     for j in range(k_max):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lrqc import (BoundReport, CorrelatedSweep, EnsembleSpec, LocalStructure,
+from lrqc import (BoundReport, CapExceeded, CorrelatedSweep, EnsembleSpec, LocalStructure,
                   PathParams, Region, Uncorrelated, area_law_bound,
                   boundary_probability, build_swap_matrix,
                   correlated_convergence_bound, entangling_power,
@@ -80,6 +80,19 @@ class TestReachableRange:
         st = path_structure(5)
         p_max, p_min = reachable_boundary_column(Region.of([0, 1], 5), st, 2)[2]
         assert p_max == 0.25 and p_min == 0.0
+
+    def test_depth_over_the_byte_budget_refuses(self, monkeypatch):
+        # {0, 2, 4} straddles all 5 edges; its frontiers hold 1, 6, 15 and 20 regions, and a
+        # depth that keeps its images counts 4 copies of 2 masks of 8 bytes per region and swap
+        st = path_structure(6)
+        initial = Region.of([0, 2, 4], 6)
+        column = reachable_boundary_column(initial, st, 3)
+        monkeypatch.setattr("lrqc.bounds._ENUMERATION_BYTES", 64 * 5 * 1)
+        # depth 0 fits the budget exactly, and the last depth keeps no images
+        assert reachable_boundary_column(initial, st, 1) == column[:2]
+        with pytest.raises(CapExceeded, match="at depth 1 needs 1920 bytes, over its budget "
+                                              "of 320 bytes"):
+            reachable_boundary_column(initial, st, 3)
 
 
 class TestAreaLawBound:

@@ -104,6 +104,16 @@ class TestEvolve:
         assert "2^16" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_area_law_byte_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("lrqc.bounds._ENUMERATION_BYTES", 320)
+        out = tmp_path / "evolve.csv"
+        cfg = base_config(str(out), model={"n": 6, "regions": [[i, i + 1] for i in range(5)]},
+                          run={"initial_region": [0, 2, 4], "k_max": 3, "area_law": True})
+        assert run_cli(tmp_path, "evolve", cfg) == 3
+        err = capsys.readouterr().err
+        assert "needs 1920 bytes" in err and "budget of 320 bytes" in err
+        assert not out.exists()
+
     def test_byte_identical_rerun(self, tmp_path):
         out = tmp_path / "evolve.csv"
         cfg = base_config(str(out))

@@ -219,20 +219,49 @@ class TestSampleRegions:
         def random(self):
             return self.u
 
+    class _UniformGaussian(_Uniform):
+        """A stream whose every uniform is the same number, with a real generator's Gaussians."""
+
+        def __init__(self, u, seed):
+            super().__init__(u)
+            self.gaussians = np.random.default_rng(seed)
+
+        def standard_normal(self, *args, **kwargs):
+            return self.gaussians.standard_normal(*args, **kwargs)
+
     # sums to 1 - 5e-13, within the weight tolerance; a uniform above that sum falls past every
     # cumulative weight, and the draw must land on a region of positive weight
     SHORT = (0.5, 0.5 - 5e-13, 0.0)
-
-    @pytest.mark.parametrize("policy, want", [
+    ROUNDING = pytest.mark.parametrize("policy, want", [
         (Uncorrelated(), (1, 1)),
         (Uncorrelated((SHORT, (0.25, 0.75 - 5e-13, 0.0))), (1, 1)),
         (Markov(SHORT, (SHORT, SHORT, SHORT)), (1, 1)),
         (Markov((0.0, 0.0, 1.0), (SHORT, SHORT, SHORT)), (2, 1)),  # region 2 drawn at weight 1
     ], ids=["uncorrelated", "per-step", "markov", "markov-rows"])
+
+    @ROUNDING
     def test_rounding_never_draws_a_zero_weight_region(self, policy, want):
         st = LocalStructure(4, path_structure(4).regions, self.SHORT)
         seq = sample_regions(EnsembleSpec(st, policy, 2), 2, self._Uniform(0.99999999999999))
         assert seq == [st.regions[i] for i in want]
+
+    @ROUNDING
+    def test_rounding_never_simulates_a_zero_weight_region(self, monkeypatch, policy, want):
+        from lrqc import oracle
+        st = LocalStructure(4, path_structure(4).regions, self.SHORT)
+        samples = 3
+        monkeypatch.setattr("lrqc.oracle._streams", lambda seed, tag, lo, hi: [
+            self._UniformGaussian(0.99999999999999, s) for s in range(lo, hi)])
+        applied, real = [], oracle._apply_gates_batch
+
+        def recorded(states, sites, gates, n, d):
+            applied.append((tuple(sites), states.shape[0]))
+            return real(states, sites, gates, n, d)
+        monkeypatch.setattr("lrqc.oracle._apply_gates_batch", recorded)
+        cfg = OracleConfig(seed=0, samples=samples, d=2, n=4)
+        steps = [j for j, _, _ in oracle._simulate(EnsembleSpec(st, policy, 2), 2, cfg)]
+        assert steps == [0, 1, 2]
+        assert applied == [(st.regions[i].sites(), samples) for i in want]
 
 
 class TestMcPurity:
@@ -301,6 +330,23 @@ class TestMcPurity:
             OracleConfig(seed=0, samples=1, d=2, n=3)
         with pytest.raises(ValueError, match="run.seed"):
             OracleConfig(seed=-1, samples=10, d=2, n=3)
+
+
+class TestRegionUniverse:
+    """Every Monte Carlo estimator refuses a region of another system, as reduced_purity does."""
+
+    @pytest.mark.parametrize("sites, n", [([3, 4], 5), ([0, 1], 5), ([4], 5), ([0], 2)])
+    @pytest.mark.parametrize("estimator", ["trajectory", "average", "trace", "design"])
+    def test_mismatch_raises(self, estimator, sites, n):
+        spec = EnsembleSpec(path_structure(3), Uncorrelated(), 2)
+        cfg = OracleConfig(seed=1, samples=4, d=2, n=3)
+        region = Region.of(sites, n)
+        run = {"trajectory": lambda: mc_purity_trajectory(spec, region, 1, cfg),
+               "average": lambda: mc_average_purity(spec, region, 1, cfg),
+               "trace": lambda: mc_trace_distance(spec, region, 1, cfg),
+               "design": lambda: mc_design_distance(spec, region, 1, 1, cfg)}[estimator]
+        with pytest.raises(ValueError, match="region universe does not match"):
+            run()
 
 
 class TestFirstMomentMap:
@@ -726,10 +772,17 @@ class TestEnginePinnedToReference:
         return spec, OracleConfig(seed=31, samples=self.samples, d=d, n=n)
 
     def test_pick_on_ties_and_rounding(self):
-        from lrqc.oracle import _pick as pick
-        cum = np.cumsum([0.0, 0.25, 0.0, 0.5, 0.25 - 1e-12])  # ends short of 1
-        for u in [0.0, 0.1, 0.25, 0.5, 0.75, cum[-1], 0.9999999999999999]:
-            assert pick(cum.tolist(), u) == _pick(cum, u)
+        from lrqc.oracle import _region_steps
+        weights = (0.0, 0.25, 0.0, 0.5, 0.25 - 1e-12)
+        cum = np.cumsum(weights)  # ends short of 1
+        us = [0.0, 0.1, 0.25, 0.5, 0.75, cum[-1], 0.9999999999999999]
+        spec = EnsembleSpec(LocalStructure(6, path_structure(6).regions, weights),
+                            Uncorrelated(), 2)
+        # one stream per uniform, all picked in one step
+        (picked,) = _region_steps(spec, 1, [TestSampleRegions._Uniform(u) for u in us])
+        assert picked.shape == (len(us), 1)
+        for u, pick in zip(us, picked[:, 0].tolist()):
+            assert pick == _pick(cum, u)
 
     def test_state_batches(self, case):
         from lrqc.oracle import _simulate
@@ -888,12 +941,13 @@ class TestDistanceMemory:
 
 class TestChunkBudget:
     """A chunk is sized by every byte a sample holds: its state with the working
-    copies, its generator, and under a sweep the step's Gaussian block."""
+    copies, its generator, its region pick, and its step's Gaussians."""
 
-    def test_sweep_peak_within_budget(self, monkeypatch):
+    @staticmethod
+    def assert_peak_within_budget(monkeypatch, structure, policy):
         from lrqc import oracle
         n, samples, k = 5, 600, 3
-        spec = EnsembleSpec(complete_structure(n), CorrelatedSweep(tuple(range(10))), 2)
+        spec = EnsembleSpec(structure, policy, 2)
         cfg = OracleConfig(seed=1, samples=samples, d=2, n=n)
         region = Region.of([0, 1], n)
         # allocations of a first call that later calls reuse
@@ -907,6 +961,17 @@ class TestChunkBudget:
         finally:
             tracemalloc.stop()
         assert peak <= oracle._CHUNK_BYTES + 8 * (k + 1) * samples  # budget plus the output
+
+    def test_sweep_peak_within_budget(self, monkeypatch):
+        self.assert_peak_within_budget(monkeypatch, complete_structure(5),
+                                       CorrelatedSweep(tuple(range(10))))
+
+    @pytest.mark.parametrize("policy", [
+        Uncorrelated(), Markov((0.25,) * 4, ((0.5, 0.5, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25),
+                                              (0.0, 0.5, 0.5, 0.0), (0.0, 0.0, 0.5, 0.5)))])
+    def test_drawn_peak_within_budget(self, monkeypatch, policy):
+        # a drawn step also holds each sample's uniform, its gathered weights and its pick
+        self.assert_peak_within_budget(monkeypatch, path_structure(5), policy)
 
     @pytest.mark.parametrize("structure, samples, policy", [
         (path_structure(12), 300, Uncorrelated()),

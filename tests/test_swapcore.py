@@ -280,6 +280,13 @@ class TestTrajectory:
         assert ps[1] == pytest.approx(contract_factorized(v), abs=1e-14)
 
 
+    @pytest.mark.parametrize("policy", [
+        Uncorrelated(), CorrelatedSweep((0, 1)), Markov((0.5, 0.5), ((0.5, 0.5), (0.5, 0.5)))])
+    def test_rejects_another_universe(self, policy):
+        spec = EnsembleSpec(path_structure(3), policy, 2)
+        with pytest.raises(ValueError, match="region universe 5 does not match n=3"):
+            purity_trajectory(Region.of([0], 5), spec, 2)
+
 class TestComponents:
     def test_chain_is_connected(self):
         decomp = connected_components(path_structure(3))
