@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import logging
 import math
 import os
 import sys
@@ -39,6 +40,8 @@ FIXCHECK_MAX_SITES = 10
 # a Monte Carlo mean this close to P_k (say a purity that stays 1) is exact up to
 # rounding, so its z-score is 0, not rounding noise over a rounding-sized stderr
 Z_EXACT_TOL = 1e-12
+
+_log = logging.getLogger("lrqc")
 
 
 @dataclass
@@ -303,8 +306,11 @@ def _fixcheck_rows(structure: LocalStructure, d: int):
     """(case, regions, predicted, measured) fixed-space dimensions of one region, a disjoint
     and an overlapping pair, and the whole ensemble.
 
-    Each case is an uncorrelated step, which is self-adjoint, so its dimension is measured
-    on the symmetric Gram-coordinate step with the symmetric eigensolver."""
+    Each case is measured on the sites its regions touch, relabelled 0..|S|-1 in order: a
+    gate changes only the swap bits in its region, so the n-site step, and its symmetric
+    Gram-coordinate form on which the eigensolver runs, is the touched step times the
+    identity on each idle site, and the count is the touched one times 2 per idle site.
+    The idle factor counts sites, not components, so the prediction stays independent."""
     n = structure.n
     regions = structure.regions
     cases = [("single", (regions[0],))]
@@ -317,10 +323,16 @@ def _fixcheck_rows(structure: LocalStructure, d: int):
         cases.append(("pair-overlap", overlap))
     cases.append(("full-ensemble", regions))
     for case, subset in cases:
-        sub = LocalStructure(n, subset)
+        touched = sorted({s for r in subset for s in r.sites()})
+        local = LocalStructure(len(touched), tuple(
+            Region.of([touched.index(s) for s in r.sites()], len(touched)) for r in subset))
+        size, idle = 1 << len(touched), n - len(touched)
+        _log.debug("fixcheck %s: touched sites %s, %d x %d step matrix, idle factor 2^%d",
+                   case, touched, size, size, idle)
         measured = fixed_space_dimension(
-            gram_symmetric_step(build_swap_matrix(EnsembleSpec(sub, Uncorrelated(), d)), d))
-        yield case, list(subset), connected_components(sub).fixed_dimension, measured
+            gram_symmetric_step(build_swap_matrix(EnsembleSpec(local, Uncorrelated(), d)), d))
+        predicted = connected_components(LocalStructure(n, subset)).fixed_dimension
+        yield case, list(subset), predicted, measured << idle
 
 
 def cmd_fixcheck(cfg: ExperimentConfig) -> ResultTable:

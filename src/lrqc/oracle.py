@@ -265,8 +265,9 @@ def _purity_batch(states: np.ndarray, sites: Sequence[int], n: int, d: int) -> n
         sites = [s for s in range(n) if s not in sites]
     out = np.empty(states.shape[0])
 
-    def purity(lo: int, rho: np.ndarray) -> None:
-        out[lo:lo + rho.shape[0]] = np.einsum('sac,sac->s', rho, rho.conj()).real
+    def purity(lo: int, rho: np.ndarray) -> None:  # Tr(rho^2) = sum |rho_ac|^2, rho Hermitian
+        parts = rho.view(float)
+        out[lo:lo + rho.shape[0]] = np.einsum('sac,sac->s', parts, parts)
     _reduce(states, sites, n, d, purity)
     return out
 
@@ -287,11 +288,12 @@ def _region_steps(spec: EnsembleSpec, k: int, streams: Sequence) -> Iterator[np.
     gate order.
 
     A drawn step takes one uniform u from each stream and picks every stream's region at once
-    from a table of cumulative weights: one row per uncorrelated step, or the Markov initial
-    row and then the row of the previous region.  A row is +inf after its first entry equal
-    to its total, so the pick min(#entries <= u, that entry's index) never lands on a
-    trailing region of weight zero.  A sweep draws no uniform and its step is its pass
-    reversed: order[0]'s map acts on the swap first, so its gate is applied last.
+    from a table of cumulative weights: one row per uncorrelated step (a single row when the
+    steps share the model weights), or the Markov initial row and then the row of the
+    previous region.  A row is +inf after its first entry equal to its total, so the pick
+    min(#entries <= u, that entry's index) never lands on a trailing region of weight zero.
+    A sweep draws no uniform and its step is its pass reversed: order[0]'s map acts on the
+    swap first, so its gate is applied last.
     """
     pol = spec.policy
     if isinstance(pol, CorrelatedSweep):
@@ -300,7 +302,12 @@ def _region_steps(spec: EnsembleSpec, k: int, streams: Sequence) -> Iterator[np.
             yield step
         return
     markov = not isinstance(pol, Uncorrelated)
-    rows = [pol.initial, *pol.matrix] if markov else [spec.step_weights(j) for j in range(k)]
+    if markov:
+        rows = [pol.initial, *pol.matrix]
+    elif pol.step_weights is None:  # every step draws from the one row of model weights
+        rows = [spec.structure.weight_vector()][:k]
+    else:
+        rows = [spec.step_weights(j) for j in range(k)]
     if not rows:  # an uncorrelated circuit of no steps
         return
     cum = np.cumsum(rows, axis=1)
@@ -311,7 +318,7 @@ def _region_steps(spec: EnsembleSpec, k: int, streams: Sequence) -> Iterator[np.
         u = np.fromiter((stream.random() for stream in streams), float, len(streams))
         picked = np.minimum((cum[row] <= u[:, None]).sum(axis=1), last[row])
         yield picked[:, None]
-        row = picked + 1 if markov else np.full(len(streams), j)
+        row = picked + 1 if markov else np.full(len(streams), min(j, len(rows) - 1))
 
 
 def sample_regions(spec: EnsembleSpec, k: int, stream: np.random.Generator) -> list[Region]:

@@ -35,6 +35,7 @@ DEFAULT_PRUNE_TOL = 1e-15
 RANK_TOL = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
 _LANCZOS_TOL = 1e-13  # Ritz residual bound; B^T B has norm at most 1
+_LANCZOS_ROWS = 32  # first allocation of the Lanczos basis, in vectors
 _SITE_BLOCK_BYTES = 1 << 19  # rows of a batch mapped together by _on_sites
 _OBJECT_BYTES = 16 << 10  # arrays' headers and other small objects of one build: about 8 KiB
 _MERGE_BYTES = 1 << 22  # bytes of one group's scattered image, or of a dense accumulator
@@ -680,15 +681,19 @@ def spectral_gap_swap(spec: EnsembleSpec) -> float:
         x = _on_sites(inv_t, v[None])[0]
         return _on_sites(chol.T, shifted(step[::-1], shifted(step, x))[None])[0]
 
-    basis: list[np.ndarray] = []
     alphas: list[float] = []
     betas: list[float] = []
     w = np.random.default_rng(0).standard_normal(1 << n)
-    for _ in range(w.size):
-        basis.append(w / np.linalg.norm(w))
-        w = normal_map(basis[-1])
-        alphas.append(float(basis[-1] @ w))
-        q = np.array(basis)
+    basis = np.empty((min(w.size, _LANCZOS_ROWS), w.size))  # its rows grow by doubling
+    for i in range(w.size):
+        if i == len(basis):
+            grown = np.empty((min(2 * i, w.size), w.size))
+            grown[:i] = basis
+            basis = grown
+        basis[i] = w / np.linalg.norm(w)
+        w = normal_map(basis[i])
+        alphas.append(float(basis[i] @ w))
+        q = basis[:i + 1]
         for _ in range(2):  # full reorthogonalization, twice
             w -= q.T @ (q @ w)
         norm = float(np.linalg.norm(w))

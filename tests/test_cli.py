@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import os
 import subprocess
@@ -7,10 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lrqc
-from lrqc import PathParams, __version__, spectral_gap_1d
-from lrqc.cli import main, read_metadata_config
+from lrqc import (EnsembleSpec, LocalStructure, PathParams, Region, Uncorrelated, __version__,
+                  build_swap_matrix, fixed_space_dimension, spectral_gap_1d)
+from lrqc.cli import _fixcheck_rows, main, read_metadata_config
+from lrqc.swapcore import gram_symmetric_step
 
 
 def run_cli(tmp_path, command, config, name="cfg.json", extra=()):
@@ -453,7 +457,48 @@ class TestBoundsCmd:
         assert run_cli(tmp_path, "bounds", cfg) == 2
 
 
+@st.composite
+def fixcheck_structures(draw):
+    """Up to 8 sites and five distinct regions of one to three sites, so the cases come with
+    and without a disjoint or an overlapping pair, and often leave sites idle."""
+    n = draw(st.integers(2, 8))
+    region = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=3)
+    regions = draw(st.lists(region, min_size=1, max_size=5, unique=True))
+    return LocalStructure(n, tuple(Region.of(sorted(r), n) for r in regions))
+
+
 class TestFixcheck:
+    @settings(max_examples=60, deadline=None)
+    @given(fixcheck_structures(), st.sampled_from([2, 3]))
+    @example(LocalStructure(8, (Region.of([0, 1], 8), Region.of([2, 3], 8),
+                                Region.of([1, 2, 5], 8))), 3)
+    @example(LocalStructure(6, (Region.of([4], 6),)), 2)
+    @example(LocalStructure(7, (Region.of([1, 3], 7), Region.of([3, 6], 7))), 2)
+    def test_touched_sites_measure_the_full_step(self, structure, d):
+        """Each case, measured on the sites it touches, has the dimension of its step on all
+        n sites in the Gram coordinates."""
+        for case, subset, _, measured in _fixcheck_rows(structure, d):
+            spec = EnsembleSpec(LocalStructure(structure.n, tuple(subset)), Uncorrelated(), d)
+            full = fixed_space_dimension(gram_symmetric_step(build_swap_matrix(spec), d))
+            assert measured == full, case
+
+    def test_logs_touched_sites(self, tmp_path, caplog):
+        out = tmp_path / "fix.csv"
+        cfg = base_config(str(out))
+        cfg["model"] = {"n": 6, "d": 2, "regions": [[0, 1], [1, 2], [4, 5]]}
+        with caplog.at_level(logging.DEBUG, logger="lrqc"):
+            assert run_cli(tmp_path, "fixcheck", cfg) == 0
+        lines = [r.getMessage() for r in caplog.records]
+        assert [line for line in lines if line.startswith("fixcheck")] == [
+            "fixcheck single: touched sites [0, 1], 4 x 4 step matrix, idle factor 2^4",
+            "fixcheck pair-disjoint: touched sites [0, 1, 4, 5], 16 x 16 step matrix, "
+            "idle factor 2^2",
+            "fixcheck pair-overlap: touched sites [0, 1, 2], 8 x 8 step matrix, idle factor 2^3",
+            "fixcheck full-ensemble: touched sites [0, 1, 2, 4, 5], 32 x 32 step matrix, "
+            "idle factor 2^1",
+        ]
+        assert "idle factor" not in out.read_text()
+
     def test_all_cases_pass(self, tmp_path):
         out = tmp_path / "fix.csv"
         cfg = base_config(str(out))

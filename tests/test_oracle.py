@@ -201,6 +201,27 @@ class TestSampleRegions:
             freq = sum(1 for r in seq if r == region) / draws
             assert abs(freq - 0.25) <= 3 * stderr
 
+    def test_shared_weights_build_one_row(self):
+        """Steps that share the model weights share one row of cumulative weights, so the
+        table, built before the first step is drawn, does not grow with k (a row per step
+        would be 17.6 MB of weights alone here)."""
+        from lrqc.oracle import _region_steps
+        spec = EnsembleSpec(path_structure(12), Uncorrelated(), 2)
+        tracemalloc.start()
+        try:
+            next(_region_steps(spec, 200_000, [np.random.default_rng(0)]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_shared_row_draws_as_per_step_rows(self):
+        structure = path_structure(6)
+        shared = EnsembleSpec(structure, Uncorrelated(), 2)
+        per_step = EnsembleSpec(structure, Uncorrelated((structure.weight_vector(),) * 50), 2)
+        assert (sample_regions(shared, 50, np.random.default_rng(9))
+                == sample_regions(per_step, 50, np.random.default_rng(9)))
+
     def test_sweep_sequence_deterministic(self):
         st = path_structure(4)
         spec = EnsembleSpec(st, CorrelatedSweep((2, 0, 1)), 2)
