@@ -17,8 +17,8 @@ from .swapcore import (ComponentDecomposition, CorrelatedSweep, EnsembleSpec,
                        purity_trajectory, spectral_gap_swap)
 from .path1d import (PathParams, SpectralData, analytic_steps_bound, eigenvector,
                      purity_by_matrix_power, purity_exact, purity_infinity_1d,
-                     reduced_matrix, short_time_purity, spectral_gap_1d, spectrum,
-                     steps_to_converge)
+                     reduced_matrix, short_time_form, short_time_purity, spectral_gap_1d,
+                     spectrum, steps_to_converge)
 from .bounds import (BoundReport, area_law_bound, boundary_probability,
                      correlated_convergence_bound, entangling_power,
                      first_moment_convergence_bound, r1_candidate_spectrum,

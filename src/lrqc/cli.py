@@ -29,14 +29,13 @@ from .config import (ExperimentConfig, ValidationError, family_structures,
                      run_int, spec_from_config, structure_from_model)
 from .errors import CapExceeded
 from .oracle import OracleConfig, mc_purity_trajectory
-from .path1d import PathParams, purity_exact, spectrum
+from .path1d import PathParams, purity_exact, short_time_form, spectrum
 from .regions import Region
-from .swapcore import (EnsembleSpec, LocalStructure, Uncorrelated,
-                       build_swap_matrix, connected_components, fixed_space_dimension,
-                       gram_symmetric_step, purity_infinity, purity_trajectory,
+from .swapcore import (EnsembleSpec, LocalStructure, Uncorrelated, connected_components,
+                       fixed_space_dimension, gram_half, purity_infinity, purity_trajectory,
                        spectral_gap_swap)
 
-FIXCHECK_MAX_SITES = 10
+FIXCHECK_MAX_SITES = 10  # bounds the dense eigensolver's time; 2^9-square halves at 10 sites
 # a Monte Carlo mean this close to P_k (say a purity that stays 1) is exact up to
 # rounding, so its z-score is 0, not rounding noise over a rounding-sized stderr
 Z_EXACT_TOL = 1e-12
@@ -171,8 +170,6 @@ def cmd_path1d(cfg: ExperimentConfig) -> ResultTable:
     if k_max < 0:
         raise ValidationError("run.k_max must be >= 0")
     data = spectrum(params)
-    ep = entangling_power(d)
-    window = min(params.l, params.L - params.l)
     rows = max(length, k_max) + 1
     def pad(values: list, total: int) -> list:
         return values + [None] * (total - len(values))
@@ -181,8 +178,8 @@ def cmd_path1d(cfg: ExperimentConfig) -> ResultTable:
         "eigenvalue": pad(list(data.eigenvalues), rows),
         "gap": [data.gap] * rows,
         "P_k": pad([purity_exact(params, k) for k in range(k_max + 1)], rows),
-        "short_time_P_k": pad([(1.0 - ep / (length - 1)) ** k for k in range(k_max + 1)], rows),
-        "short_time_valid": pad([k <= window for k in range(k_max + 1)], rows),
+        "short_time_P_k": pad([short_time_form(params, k) for k in range(k_max + 1)], rows),
+        "short_time_valid": pad([k <= params.short_time_window for k in range(k_max + 1)], rows),
     }
     return ResultTable(columns)
 
@@ -307,10 +304,13 @@ def _fixcheck_rows(structure: LocalStructure, d: int):
     and an overlapping pair, and the whole ensemble.
 
     Each case is measured on the sites its regions touch, relabelled 0..|S|-1 in order: a
-    gate changes only the swap bits in its region, so the n-site step, and its symmetric
-    Gram-coordinate form on which the eigensolver runs, is the touched step times the
-    identity on each idle site, and the count is the touched one times 2 per idle site.
-    The idle factor counts sites, not components, so the prediction stays independent."""
+    gate changes only the swap bits in its region, so the n-site step is the touched step
+    times the identity on each idle site, and the count is the touched one times 2 per idle
+    site.  The touched step is solved as the two halves of ``gram_half``: conjugated by the
+    symmetric Gram root, it commutes with the complement involution and splits into two
+    exactly symmetric 2^(|S|-1) blocks, built and solved one at a time by the symmetric
+    eigensolver, whose counts add up.  The idle factor counts sites, not components, so the
+    prediction stays independent."""
     n = structure.n
     regions = structure.regions
     cases = [("single", (regions[0],))]
@@ -329,8 +329,8 @@ def _fixcheck_rows(structure: LocalStructure, d: int):
         size, idle = 1 << len(touched), n - len(touched)
         _log.debug("fixcheck %s: touched sites %s, %d x %d step matrix, idle factor 2^%d",
                    case, touched, size, size, idle)
-        measured = fixed_space_dimension(
-            gram_symmetric_step(build_swap_matrix(EnsembleSpec(local, Uncorrelated(), d)), d))
+        spec = EnsembleSpec(local, Uncorrelated(), d)
+        measured = sum(fixed_space_dimension(gram_half(spec, sign)) for sign in (1, -1))
         predicted = connected_components(LocalStructure(n, subset)).fixed_dimension
         yield case, list(subset), predicted, measured << idle
 
@@ -338,7 +338,8 @@ def _fixcheck_rows(structure: LocalStructure, d: int):
 def cmd_fixcheck(cfg: ExperimentConfig) -> ResultTable:
     n, d = model_shape(cfg.model)
     if n > FIXCHECK_MAX_SITES:
-        raise CapExceeded(f"fixcheck is capped at {FIXCHECK_MAX_SITES} sites, got {n}")
+        raise CapExceeded(f"fixcheck is capped at {FIXCHECK_MAX_SITES} sites, got {n}: the cap "
+                          "bounds the time of the dense symmetric eigensolver, not memory")
     structure = structure_from_model(cfg.model)
     cases, details, predicted, measured, passed = [], [], [], [], []
     for case, involved, pred, meas in _fixcheck_rows(structure, d):

@@ -44,6 +44,11 @@ class PathParams:
     def offdiagonal(self) -> float:
         return swap_constant(self.d) / (self.L - 1)
 
+    @property
+    def short_time_window(self) -> int:
+        """Steps before the evolved swap can reach a chain end: min(l, L - l)."""
+        return min(self.l, self.L - self.l)
+
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -132,14 +137,19 @@ def purity_by_matrix_power(params: PathParams, k: int) -> float:
     return float(vec.sum())
 
 
-def short_time_purity(params: PathParams, k: int) -> float:
-    """Purity before the evolved swap reaches a chain end: (1 - e_p/(L-1))^k."""
+def short_time_form(params: PathParams, k: int) -> float:
+    """(1 - e_p/(L-1))^k at any k >= 0; the purity only for k <= ``params.short_time_window``."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    window = min(params.l, params.L - params.l)
-    if k > window:
-        raise ValueError(f"short-time form only valid for k <= {window}, got {k}")
     return (1.0 - entangling_power(params.d) / (params.L - 1)) ** k
+
+
+def short_time_purity(params: PathParams, k: int) -> float:
+    """Purity before the evolved swap reaches a chain end: (1 - e_p/(L-1))^k."""
+    if k > params.short_time_window:
+        raise ValueError(f"short-time form only valid for k <= {params.short_time_window}, "
+                         f"got {k}")
+    return short_time_form(params, k)
 
 
 def eigenvector(params: PathParams, h: int) -> np.ndarray:

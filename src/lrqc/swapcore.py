@@ -17,6 +17,7 @@ Everything here is exact linear algebra; the Monte Carlo cross-check lives in
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -576,8 +577,10 @@ def fixed_space_dimension(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
 
     Counts the values of matrix - I that are at most ``tol``: the moduli of its
     eigenvalues from the symmetric eigensolver when the input is exactly
-    symmetric (as ``gram_symmetric_step`` returns it), its singular values
-    otherwise.  For a symmetric input the two coincide.  Raises
+    symmetric, its singular values otherwise.  For a symmetric input the two
+    coincide.  ``fixcheck`` passes it the two halves of ``gram_half``: the step
+    conjugated by the symmetric Gram root, split by the complement involution
+    into two exactly symmetric blocks whose counts add up.  Raises
     ``NumericalAmbiguityError`` instead of silently resolving counts whose
     values sit in the band (tol, 1e3 * tol].
     """
@@ -625,24 +628,56 @@ def _on_sites(site: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_conjugate(matrix: np.ndarray, d: int) -> np.ndarray:
-    """C^T M C^-T: a step matrix M in coordinates where the swaps are orthonormal."""
-    chol, inv_t = _site_maps(d)
-    left = _on_sites(chol.T, matrix.T).T  # C^T M, mapping the columns of M
-    return _on_sites(inv_t.T, left)
+def _gram_root(d: int, power: int) -> np.ndarray:
+    """s^power for the symmetric square root s of the one-site swap Gram matrix
+    g = [[1, 1/d], [1/d, 1]]: the eigenvalues 1 +- 1/d of g raised to power / 2 on (1, +-1)."""
+    plus, minus = (1.0 + 1.0 / d) ** (power / 2), (1.0 - 1.0 / d) ** (power / 2)
+    return np.array([[plus + minus, plus - minus], [plus - minus, plus + minus]]) / 2
 
 
-def gram_symmetric_step(matrix: np.ndarray, d: int) -> np.ndarray:
-    """B = C^T M C^-T for an uncorrelated step matrix M, made exactly symmetric as (B + B^T) / 2.
+def _gram_block(size: int, d: int) -> np.ndarray:
+    """s^(x size) P s^-(x size) for the gate map P of a region on all of its ``size`` sites."""
+    gate = build_swap_matrix(EnsembleSpec(
+        LocalStructure(size, (Region((1 << size) - 1, size),)), Uncorrelated(), d))
+    root, inverse = (functools.reduce(np.kron, [_gram_root(d, p)] * size) for p in (1, -1))
+    return root @ gate @ inverse
 
-    Each gate map is a Hilbert-Schmidt orthogonal projector, G M_r = M_r^T G,
-    so a mixture of gates is self-adjoint and B is symmetric up to rounding.
-    B is similar to M, so ``fixed_space_dimension`` counts the same
-    eigenvalue-1 space on it, with the symmetric eigensolver.  A correlated
-    sweep is not self-adjoint; its M goes to ``fixed_space_dimension`` as it is.
+
+def gram_half(spec: EnsembleSpec, sign: int) -> np.ndarray:
+    """One of the two complement halves of an uncorrelated step M in symmetric Gram
+    coordinates, for ``sign`` +1 or -1, made exactly symmetric as (X + X^T) / 2.
+
+    With s the symmetric square root of the one-site Gram matrix and S = s^(x n),
+    B = S M S^-1 is similar to M, and symmetric since every gate map is self-adjoint,
+    G M_r = M_r^T G.  S and every gate map commute with the complement involution J, so B
+    does too, and in the basis (e_A +- e_~A) / sqrt(2), A over the masks without the top
+    site, B splits into B_+- = B[A, C] +- B[A, ~C]: the eigenvalues of the two halves are
+    those of M.  Each is scattered straight from the regions' 2^|r| blocks
+    s^(x |r|) P_r s^-(x |r|): column C of B holds q_r block[a_r, C_r] at each row a that
+    equals C outside r, and a row with the top bit set is folded onto its complement with
+    B[a, C] = B[~a, ~C], times ``sign``.  Neither M nor B is formed.
     """
-    b = _gram_conjugate(np.asarray(matrix, dtype=float), d)
-    out = b + b.T
+    if not isinstance(spec.policy, Uncorrelated):
+        raise ValueError("only an uncorrelated step is self-adjoint in the Gram geometry")
+    (stage,) = _stages(spec)
+    n, regions = spec.structure.n, spec.structure.regions
+    half = 1 << (n - 1)
+    cols = np.arange(half)[:, None]
+    flat, terms = [], []
+    for size in sorted({regions[idx].size for _, idx in stage}):  # regions of one size at once
+        group = [(w, regions[idx]) for w, idx in stage if regions[idx].size == size]
+        q = np.array([w for w, _ in group])[:, None, None]
+        bits = np.array([r.bits for _, r in group])[:, None, None]
+        sites = np.array([r.sites() for _, r in group])[:, None, :]  # (region, 1, site)
+        local = (np.arange(1 << size)[:, None] >> np.arange(size)) & 1
+        rows = (cols & ~bits) | ((1 << sites) @ local.T)  # (region, column C, local row)
+        folded = rows >= half
+        flat.append((np.where(folded, rows ^ (2 * half - 1), rows) * half + cols).ravel())
+        values = q * _gram_block(size, spec.d).T[((cols >> sites) & 1) @ (1 << np.arange(size))]
+        terms.append(np.where(folded, sign * values, values).ravel())
+    x = np.bincount(np.concatenate(flat), weights=np.concatenate(terms),
+                    minlength=half * half).reshape(half, half)
+    out = x + x.T
     out *= 0.5
     return out
 
@@ -681,28 +716,29 @@ def spectral_gap_swap(spec: EnsembleSpec) -> float:
         x = _on_sites(inv_t, v[None])[0]
         return _on_sites(chol.T, shifted(step[::-1], shifted(step, x))[None])[0]
 
-    alphas: list[float] = []
-    betas: list[float] = []
     w = np.random.default_rng(0).standard_normal(1 << n)
-    basis = np.empty((min(w.size, _LANCZOS_ROWS), w.size))  # its rows grow by doubling
+    rows = min(w.size, _LANCZOS_ROWS)
+    basis, tri = np.empty((rows, w.size)), np.zeros((rows, rows))  # both grow by doubling
     for i in range(w.size):
         if i == len(basis):
-            grown = np.empty((min(2 * i, w.size), w.size))
+            rows = min(2 * i, w.size)
+            grown = np.empty((rows, w.size))
             grown[:i] = basis
-            basis = grown
+            basis, tri = grown, np.pad(tri, (0, rows - i))
+        if i:  # the last norm, below the diagonal and above it
+            tri[i, i - 1] = tri[i - 1, i] = norm
         basis[i] = w / np.linalg.norm(w)
         w = normal_map(basis[i])
-        alphas.append(float(basis[i] @ w))
+        tri[i, i] = basis[i] @ w
         q = basis[:i + 1]
         for _ in range(2):  # full reorthogonalization, twice
             w -= q.T @ (q @ w)
         norm = float(np.linalg.norm(w))
-        values, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        values, vectors = np.linalg.eigh(tri[:i + 1, :i + 1])
         theta, resid = float(values[-1]), norm * abs(float(vectors[-1, -1]))
         if resid <= _LANCZOS_TOL:
             break
-        betas.append(norm)
     _log.debug("spectral gap: %d Lanczos iterations, Ritz residual %.3g, fixed-space dimension "
-               "%d used, %d predicted by connected_components", len(alphas), resid,
+               "%d used, %d predicted by connected_components", i + 1, resid,
                fixed.fixed_dimension, connected_components(spec.structure).fixed_dimension)
     return float(min(1.0, max(0.0, 1.0 - math.sqrt(max(theta, 0.0)))))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import lrqc
 from lrqc import (EnsembleSpec, LocalStructure, PathParams, Region, Uncorrelated, __version__,
-                  build_swap_matrix, fixed_space_dimension, spectral_gap_1d)
+                  build_swap_matrix, complete_structure, fixed_space_dimension, spectral_gap_1d)
 from lrqc.cli import _fixcheck_rows, main, read_metadata_config
-from lrqc.swapcore import gram_symmetric_step
 
 
 def run_cli(tmp_path, command, config, name="cfg.json", extra=()):
@@ -475,12 +475,27 @@ class TestFixcheck:
     @example(LocalStructure(6, (Region.of([4], 6),)), 2)
     @example(LocalStructure(7, (Region.of([1, 3], 7), Region.of([3, 6], 7))), 2)
     def test_touched_sites_measure_the_full_step(self, structure, d):
-        """Each case, measured on the sites it touches, has the dimension of its step on all
-        n sites in the Gram coordinates."""
+        """Each case, measured on the two halves of the sites it touches, has the dimension
+        that the SVD of its dense step on all n sites gives."""
         for case, subset, _, measured in _fixcheck_rows(structure, d):
             spec = EnsembleSpec(LocalStructure(structure.n, tuple(subset)), Uncorrelated(), d)
-            full = fixed_space_dimension(gram_symmetric_step(build_swap_matrix(spec), d))
+            full = fixed_space_dimension(build_swap_matrix(spec))
             assert measured == full, case
+
+    def test_complete_ten_peak_memory(self):
+        """The halves are built and solved one at a time, and no 2^n-square matrix is formed:
+        the four cases of the complete graph at n = 10 peak under 12 MiB by tracemalloc,
+        where the 1024-square step alone takes 8 MiB."""
+        structure = complete_structure(10)
+        tracemalloc.start()
+        try:
+            rows = list(_fixcheck_rows(structure, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(case, measured) for case, _, _, measured in rows] == [
+            ("single", 512), ("pair-disjoint", 256), ("pair-overlap", 256), ("full-ensemble", 2)]
+        assert peak < 12 << 20
 
     def test_logs_touched_sites(self, tmp_path, caplog):
         out = tmp_path / "fix.csv"

@@ -15,8 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from lrqc import (CapExceeded, CorrelatedSweep, EnsembleSpec, LocalStructure, Region,
                   Uncorrelated, build_swap_matrix, complete_structure, connected_components,
                   fixed_space_dimension, path_structure, spectral_gap_swap)
-from lrqc.swapcore import (MATRIX_BYTE_BUDGET, RANK_TOL, _gram_conjugate, _matrix_bytes,
-                           gram_symmetric_step)
+from lrqc.swapcore import MATRIX_BYTE_BUDGET, RANK_TOL, _matrix_bytes, gram_half
 
 
 def dense_gap_reference(matrix, d, tol=RANK_TOL):
@@ -145,31 +144,53 @@ def test_gap_logs_nothing_by_default(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def _complement_blocks(matrix, d):
+    """The J-blocks B[A, C] +- B[A, ~C] of B = S M S^-1, A and C over the masks without the
+    top site, with S the dense Kronecker power of the one-site symmetric Gram root."""
+    dim = matrix.shape[0]
+    values, vectors = np.linalg.eigh(np.array([[1.0, 1.0 / d], [1.0 / d, 1.0]]))
+    root, inverse = np.ones((1, 1)), np.ones((1, 1))
+    for _ in range(dim.bit_length() - 1):
+        root = np.kron(root, (vectors * np.sqrt(values)) @ vectors.T)
+        inverse = np.kron(inverse, (vectors / np.sqrt(values)) @ vectors.T)
+    b = root @ matrix @ inverse
+    low = np.arange(dim // 2)
+    return b, [b[np.ix_(low, low)] + sign * b[np.ix_(low, low ^ (dim - 1))] for sign in (1, -1)]
+
+
 class TestGramSymmetricStep:
     """The fixed-space route of ``fixcheck``: an uncorrelated step is self-adjoint, so in
-    Gram coordinates B = C^T M C^-T it is symmetric, and eigvalsh counts its fixed space."""
+    coordinates B = S M S^-1 of the symmetric Gram root it is symmetric; it commutes with the
+    complement involution, so it splits into two symmetric halves, and eigvalsh on each
+    counts its fixed space.  Pinned to dense Kronecker powers and to the SVD of M - I."""
 
     @settings(max_examples=150, deadline=None)
     @given(ensembles(sweeps=False))
     @example(_spec(7, [[0, 1, 2], [2, 3], [5, 6]], (0.5, 0.0, 0.5), d=3))  # zero weight, site 4
+    @example(_spec(6, [[0, 1], [2], [3, 4]], (0.25, 0.5, 0.25), d=3))  # one-site region, site 5
     @example(_spec(5, [[0], [3]]))  # nothing straddled: M = I
+    @example(_spec(2, [[1]]))  # one-site halves
     def test_matches_dense_kronecker_and_svd(self, spec):
-        matrix, n, d = build_swap_matrix(spec), spec.structure.n, spec.d
+        matrix = build_swap_matrix(spec)
         eye = np.eye(matrix.shape[0])
-        chol = np.ones((1, 1))
-        for _ in range(n):
-            chol = np.kron(chol, np.linalg.cholesky(np.array([[1.0, 1.0 / d], [1.0 / d, 1.0]])))
-        b = _gram_conjugate(matrix, d)
-        assert np.abs(b - chol.T @ matrix @ np.linalg.inv(chol).T).max() <= 1e-13
+        b, blocks = _complement_blocks(matrix, spec.d)
         assert np.abs(b - b.T).max() <= 1e-14
-        sym = gram_symmetric_step(matrix, d)
-        assert np.array_equal(sym, sym.T)
-        moduli = np.sort(np.abs(np.linalg.eigvalsh(sym - eye)))
+        halves = [gram_half(spec, sign) for sign in (1, -1)]
+        for half, block in zip(halves, blocks):
+            assert np.abs(half - block).max() <= 1e-13
+            assert np.array_equal(half, half.T)
+        moduli = np.sort(np.concatenate([np.abs(np.linalg.eigvalsh(h - np.eye(len(h))))
+                                         for h in halves]))
         assert np.abs(moduli - np.sort(np.abs(np.linalg.eigvals(matrix - eye)))).max() <= 1e-10
-        count, (used, solver, _, _) = logged(fixed_space_dimension, sym)
-        assert solver == "eigvalsh"
+        counts = [logged(fixed_space_dimension, half) for half in halves]
+        assert [solver for _, (_, solver, _, _) in counts] == ["eigvalsh", "eigvalsh"]
         svd_count = int(np.sum(np.linalg.svd(matrix - eye, compute_uv=False) <= RANK_TOL))
-        assert used == count == svd_count
+        assert sum(used for _, (used, _, _, _) in counts) == sum(c for c, _ in counts) == svd_count
+        assert svd_count == fixed_space_dimension(matrix)
+
+    def test_refuses_a_sweep(self):
+        with pytest.raises(ValueError, match="uncorrelated"):
+            gram_half(_spec(3, [[0, 1], [1, 2]], policy=CorrelatedSweep((1, 0))), 1)
 
     def test_logs_solver_count_and_margins(self):
         matrix = build_swap_matrix(EnsembleSpec(path_structure(4), Uncorrelated(), 2))
@@ -180,10 +201,22 @@ class TestGramSymmetricStep:
         assert (count, used, solver, zero, nonzero) == (3, 3, "eigvalsh", 0.0, None)
 
     def test_logs_nothing_by_default(self, capsys):
-        matrix = build_swap_matrix(EnsembleSpec(path_structure(5), Uncorrelated(), 2))
-        fixed_space_dimension(gram_symmetric_step(matrix, 2))
-        fixed_space_dimension(matrix)
+        spec = EnsembleSpec(path_structure(5), Uncorrelated(), 2)
+        fixed_space_dimension(gram_half(spec, 1))
+        fixed_space_dimension(gram_half(spec, -1))
+        fixed_space_dimension(build_swap_matrix(spec))
         assert capsys.readouterr() == ("", "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(ensembles())
+@example(_spec(7, [[0, 1, 2], [2, 3], [5, 6]], (0.5, 0.0, 0.5), d=3))
+@example(_spec(6, [[0, 1], [1, 2], [3, 4], [4, 5]], policy=CorrelatedSweep((3, 1, 0, 2)), d=3))
+def test_step_commutes_with_complement(spec):
+    """Reversing the mask order is the complement involution J, which the split into
+    ``gram_half``'s halves rests on: every step, uncorrelated or a sweep, commutes with it."""
+    matrix = build_swap_matrix(spec)
+    assert np.abs(matrix[::-1, ::-1] - matrix).max() <= 1e-15
 
 
 class TestMatrixByteBudget:

@@ -7,7 +7,7 @@ from lrqc import (EnsembleSpec, PathParams, Region, Uncorrelated,
                   analytic_steps_bound, eigenvector, entangling_power,
                   path_structure, purity_by_matrix_power, purity_exact,
                   purity_infinity_1d, purity_trajectory, reduced_matrix,
-                  short_time_purity, spectral_gap_1d, spectrum,
+                  short_time_form, short_time_purity, spectral_gap_1d, spectrum,
                   steps_to_converge)
 
 
@@ -137,6 +137,15 @@ class TestShortTime:
     def test_window_precondition(self):
         with pytest.raises(ValueError):
             short_time_purity(PathParams(8, 2, 3), 4)
+
+    def test_form_is_the_purity_inside_the_window_and_goes_on_past_it(self):
+        params = PathParams(8, 2, 5)
+        assert params.short_time_window == 3
+        assert [short_time_form(params, k) for k in range(4)] == [
+            short_time_purity(params, k) for k in range(4)]
+        assert short_time_form(params, 6) == (1 - entangling_power(2) / 7) ** 6
+        with pytest.raises(ValueError):
+            short_time_form(params, -1)
 
 
 class TestEigenvector:
