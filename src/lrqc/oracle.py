@@ -20,13 +20,26 @@ dimension up to _GRAM_SCHMIDT_MAX_DIM = 7 are made by Gram-Schmidt, larger ones
 by QR.  So trajectories of different lengths share their common prefix, and a
 sample's values depend only on its own stream, never on the chunk, gate batch
 or reduction sub-batch it falls in.
+
+Processes.  An estimator cuts [0, samples) into contiguous ranges, one per
+usable core when the run's work is large enough (``_processes``).  The calling
+process simulates the first range and children made by ``fork`` the others;
+their per-sample results come back through pipes and are joined in range
+order, so the output does not depend on the process count, except for the
+last bits of the design distance's moment sums, which add per-range partial
+sums.  While the ranges run, every process's OpenBLAS runs one thread, the
+caller's count restored afterwards; where no OpenBLAS thread control is found,
+one process runs every range.  Each process cuts its range into chunks against
+its share of the byte budget, _CHUNK_BYTES divided by the process count.
 """
 from __future__ import annotations
 
+import logging
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,10 +51,19 @@ STATE_DIM_CAP = 1 << 20
 MATRIX_DIM_CAP = 1 << 10
 SUPEROP_DIM_CAP = 1 << 12
 _NORM_TOL = 1e-10
-_CHUNK_BYTES = 1 << 28  # bytes held per batch of samples, counted by _chunks
+_CHUNK_BYTES = 1 << 28  # bytes held per batch of samples over all processes, counted by _chunks
 _GENERATOR_BYTES = 3 << 9  # a per-sample Generator: 793 B at its peak by tracemalloc
 _REDUCE_BYTES = 1 << 22  # bytes of factors and products per reduction sub-batch
 _GRAM_SCHMIDT_MAX_DIM = 7  # largest gate made by Gram-Schmidt, not QR: the measured crossover
+# a step's per-sample calls cost about as much as this many amplitude updates: 5-9 us per
+# sample and step at n <= 5 against 0.027 us per amplitude at n = 8..12 (2-core VM)
+_STEP_AMPS = 300
+# amplitude updates per process: a second process broke even between 4M and 8M in all
+# at n = 2, 5, 8 and 12 (2-core VM); a fork and join alone take about 7 ms
+_FORK_WORK = 1 << 22
+
+_log = logging.getLogger("lrqc")
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -434,22 +456,25 @@ def _streams(seed: int, tag: int, lo: int, hi: int) -> list[np.random.Generator]
 # Batched circuit simulation
 # ---------------------------------------------------------------------------
 
-def _chunks(cfg: OracleConfig, extra: int) -> Iterator[tuple[int, int]]:
-    """(lo, hi) sample ranges whose batches fit in _CHUNK_BYTES, or single samples.
+def _chunks(cfg: OracleConfig, extra: int, lo: int, hi: int,
+            processes: int) -> Iterator[tuple[int, int]]:
+    """(a, b) pieces of the sample range [lo, hi) whose batches fit this process's share
+    of _CHUNK_BYTES, _CHUNK_BYTES / processes, or single samples.
 
     A sample holds its generator, its state with up to four working copies
     (three while a gate is applied, or the factors and products of a purity
     reduction) and ``extra`` further bytes.
     """
     per_sample = _GENERATOR_BYTES + 5 * 16 * cfg.d**cfg.n + extra
-    size = max(1, min(cfg.samples, _CHUNK_BYTES // per_sample))
-    for lo in range(0, cfg.samples, size):
-        yield lo, min(lo + size, cfg.samples)
+    size = max(1, min(hi - lo, _CHUNK_BYTES // processes // per_sample))
+    for a in range(lo, hi, size):
+        yield a, min(a + size, hi)
 
 
-def _simulate(spec: EnsembleSpec, k_max: int,
-              cfg: OracleConfig) -> Iterator[tuple[int, np.ndarray, int]]:
-    """Run all samples for k_max steps, yielding (j, states, first_index) per chunk and step.
+def _simulate(spec: EnsembleSpec, k_max: int, cfg: OracleConfig, lo: int, hi: int,
+              processes: int) -> Iterator[tuple[int, np.ndarray, int]]:
+    """Run samples [lo, hi) for k_max steps, yielding (j, states, first_index) per chunk and
+    step, the chunks cut against the share of one of ``processes`` processes.
 
     The yielded batch may be overwritten by the next step.
     """
@@ -473,12 +498,12 @@ def _simulate(spec: EnsembleSpec, k_max: int,
     # pick: its uniform, the gathered row of cumulative weights and its comparison, and a few
     # index words (165 B at path n = 5 by tracemalloc)
     extra = 8 * width + 6 * 16 * int(dims.max()) ** 2 + 160 + 9 * len(regions)
-    for lo, hi in _chunks(cfg, extra):
-        rngs = _streams(cfg.seed, 0, lo, hi)
-        states = np.zeros((hi - lo, d**n), dtype=complex)
+    for a, b in _chunks(cfg, extra, lo, hi, processes):
+        rngs = _streams(cfg.seed, 0, a, b)
+        states = np.zeros((b - a, d**n), dtype=complex)
         states[:, 0] = 1.0
-        yield 0, states, lo
-        block = np.empty((hi - lo, width))
+        yield 0, states, a
+        block = np.empty((b - a, width))
         for j, picked in enumerate(_region_steps(spec, k_max, rngs), 1):
             # a slot's gates start at one offset in every sample: a drawn step has one slot,
             # and a sweep's samples run the same pass
@@ -487,16 +512,139 @@ def _simulate(spec: EnsembleSpec, k_max: int,
             # each stream has drawn its step's region, and now draws that step's Gaussians
             for rng, row, end in zip(rngs, block, (starts[-1] + sizes[picked[:, -1]]).tolist()):
                 rng.standard_normal(out=row[:end])
-            for col, a in zip(picked.T, starts):
+            for col, start in zip(picked.T, starts):
                 present = np.unique(col).tolist()
                 for r in present:
-                    z = block[:, a:a + sizes[r]]
+                    z = block[:, start:start + sizes[r]]
                     if len(present) == 1:
                         states = apply(states, r, z)  # the whole batch, without a gather
                     else:
                         sel = np.flatnonzero(col == r)
                         states[sel] = apply(states[sel], r, z[sel])
-            yield j, states, lo
+            yield j, states, a
+
+
+def _circuit_work(spec: EnsembleSpec, k: int, cfg: OracleConfig) -> int:
+    """The work of k-step circuits, in amplitude updates: per sample and step, d^n for each
+    gate and _STEP_AMPS for the step's per-sample calls."""
+    pol = spec.policy
+    gates = len(pol.order) if isinstance(pol, CorrelatedSweep) else 1
+    return cfg.samples * k * (gates * cfg.d**cfg.n + _STEP_AMPS)
+
+
+# ---------------------------------------------------------------------------
+# Sample ranges across processes
+# ---------------------------------------------------------------------------
+
+def _processes(samples: int, work: int) -> int:
+    """How many processes simulate the samples: one per usable core, but at most one per
+    sample and one per _FORK_WORK amplitude updates, so a small run never forks."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cores, samples, work // _FORK_WORK))
+
+
+def _ranges(samples: int, processes: int) -> list[tuple[int, int]]:
+    """[0, samples) cut into one contiguous (lo, hi) range per process, sizes within one."""
+    cuts = [samples * i // processes for i in range(processes + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+@lru_cache(maxsize=None)
+def _blas_control():
+    """(get, set) for the thread count of the OpenBLAS that numpy loaded, or None."""
+    import ctypes
+    import glob
+
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _forked(ranges: list[tuple[int, int]], run: Callable[[int, int, int], _T],
+            get_threads, set_threads) -> list[_T]:
+    """run(lo, hi, processes) for each range, the first here and the others in forked
+    children, each with one BLAS thread; every child is joined before this returns."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    processes = len(ranges)
+
+    def child(send, lo: int, hi: int) -> None:
+        set_threads(1)
+        try:
+            out = True, run(lo, hi, processes)
+        except BaseException as exc:  # handed to the parent, which raises it
+            out = False, exc
+        send.send(out)
+
+    threads = get_threads()
+    set_threads(1)
+    children = []
+    try:
+        for lo, hi in ranges[1:]:
+            recv, send = context.Pipe(duplex=False)
+            proc = context.Process(target=child, args=(send, lo, hi))
+            proc.start()
+            send.close()
+            children.append((proc, recv, lo, hi))
+        results = [run(*ranges[0], processes)]
+        for proc, recv, lo, hi in children:  # drained before the joins
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"the process simulating samples [{lo}, {hi}) ended "
+                                   f"without a result, exit code {proc.exitcode}") from None
+            if not ok:
+                raise value
+            results.append(value)
+    except BaseException:
+        for proc, *_ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv, *_ in children:
+            proc.join()
+            recv.close()
+        set_threads(threads)
+    return results
+
+
+def _over_ranges(samples: int, work: int, run: Callable[[int, int, int], _T]) -> list[_T]:
+    """run(lo, hi, processes) on contiguous ranges that cut [0, samples), in range order.
+
+    The calling process runs the first range and forked children the others, as many
+    as ``_processes`` gives; without a BLAS thread control one process runs them all.
+    A sample's values depend only on its own stream, so the results, joined in range
+    order, do not depend on the process count.
+    """
+    processes = _processes(samples, work)
+    control = _blas_control() if processes > 1 else None
+    blas = "not sought" if processes == 1 else "not found" if control is None else "found"
+    if control is None:
+        processes = 1
+    ranges = _ranges(samples, processes)
+    if processes == 1:
+        results, children = [run(0, samples, 1)], "none"
+    else:
+        import resource
+
+        results = _forked(ranges, run, *control)
+        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        children = f"{peak:.1f} MiB"
+    _log.debug("oracle: %d process%s over sample ranges %s, BLAS thread control %s, "
+               "children's peak RSS %s", processes, "" if processes == 1 else "es",
+               " ".join(f"[{lo}, {hi})" for lo, hi in ranges), blas, children)
+    return results
 
 
 def _region_sites(region: Region, cfg: OracleConfig) -> tuple[int, ...]:
@@ -523,9 +671,15 @@ def mc_purity_trajectory(spec: EnsembleSpec, initial_region: Region, k_max: int,
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     sites = _region_sites(initial_region, cfg)
-    values = np.empty((k_max + 1, cfg.samples))
-    for j, states, lo in _simulate(spec, k_max, cfg):
-        values[j, lo:lo + states.shape[0]] = _purity_batch(states, sites, cfg.n, cfg.d)
+
+    def purities(lo: int, hi: int, processes: int) -> np.ndarray:
+        out = np.empty((k_max + 1, hi - lo))
+        for j, states, first in _simulate(spec, k_max, cfg, lo, hi, processes):
+            out[j, first - lo:first - lo + states.shape[0]] = _purity_batch(states, sites,
+                                                                            cfg.n, cfg.d)
+        return out
+    values = np.concatenate(_over_ranges(cfg.samples, _circuit_work(spec, k_max, cfg),
+                                         purities), axis=1)
     return [_estimate(values[j]) for j in range(k_max + 1)]
 
 
@@ -544,16 +698,21 @@ def mc_trace_distance(spec: EnsembleSpec, region: Region, k: int,
     dm = cfg.d**region.size
     if dm > MATRIX_DIM_CAP:
         raise CapExceeded(f"reduced dimension {dm} exceeds the eigensolver cap {MATRIX_DIM_CAP}")
-    values = np.empty(cfg.samples)
-    for j, states, lo in _simulate(spec, k, cfg):
-        if j != k:
-            continue
 
-        def distance(sub: int, rho: np.ndarray) -> None:
-            rho -= np.eye(dm) / dm
-            values[lo + sub:lo + sub + rho.shape[0]] = np.abs(np.linalg.eigvalsh(rho)).sum(axis=1)
-        _reduce(states, sites, cfg.n, cfg.d, distance, 16 * dm)  # eigenvalues, their moduli
-    return _estimate(values)
+    def distances(lo: int, hi: int, processes: int) -> np.ndarray:
+        out = np.empty(hi - lo)
+        for j, states, first in _simulate(spec, k, cfg, lo, hi, processes):
+            if j != k:
+                continue
+
+            def distance(sub: int, rho: np.ndarray) -> None:
+                rho -= np.eye(dm) / dm
+                at = first - lo + sub
+                out[at:at + rho.shape[0]] = np.abs(np.linalg.eigvalsh(rho)).sum(axis=1)
+            _reduce(states, sites, cfg.n, cfg.d, distance, 16 * dm)  # eigenvalues, their moduli
+        return out
+    return _estimate(np.concatenate(_over_ranges(cfg.samples, _circuit_work(spec, k, cfg),
+                                                 distances)))
 
 
 def _kron_power_batch(rho: np.ndarray, t: int) -> np.ndarray:
@@ -565,16 +724,18 @@ def _kron_power_batch(rho: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def _haar_batches(cfg: OracleConfig) -> Iterator[tuple[np.ndarray, int]]:
-    """(states, first_index) chunks of global Haar states, sample s from stream (seed, 1, s)."""
+def _haar_batches(cfg: OracleConfig, lo: int, hi: int,
+                  processes: int) -> Iterator[tuple[np.ndarray, int]]:
+    """(states, first_index) chunks of global Haar states for samples [lo, hi), sample s from
+    stream (seed, 1, s), the chunks cut against the share of one of ``processes`` processes."""
     dim = cfg.d**cfg.n
-    for lo, hi in _chunks(cfg, 32 * dim):  # the draws, then the states made from them
-        z = np.empty((hi - lo, 2, dim))
-        for rng, row in zip(_streams(cfg.seed, 1, lo, hi), z):
+    for a, b in _chunks(cfg, 32 * dim, lo, hi, processes):  # the draws, then their states
+        z = np.empty((b - a, 2, dim))
+        for rng, row in zip(_streams(cfg.seed, 1, a, b), z):
             rng.standard_normal(out=row)
         states = z[:, 0, :] + 1j * z[:, 1, :]
         states /= np.linalg.norm(states, axis=1, keepdims=True)
-        yield states, lo
+        yield states, a
 
 
 def mc_design_distance(spec: EnsembleSpec, region: Region, k: int, t: int,
@@ -583,6 +744,8 @@ def mc_design_distance(spec: EnsembleSpec, region: Region, k: int, t: int,
 
     Both sides are Monte Carlo: the circuit side runs k-step circuits, the
     reference side draws global Haar states as normalized complex Gaussians.
+    Each side's moments are summed per sample range, then over the ranges in
+    order, so with several processes the sums may differ in their last bits.
     """
     if k < 0 or t < 1:
         raise ValueError("need k >= 0 and t >= 1")
@@ -593,22 +756,36 @@ def mc_design_distance(spec: EnsembleSpec, region: Region, k: int, t: int,
     n_first = (cfg.samples + 1) // 2
     moment_bytes = 16 * sum(dm ** (2 * i) for i in range(2, t + 1))  # the Kronecker powers
 
-    def average(batches) -> tuple[np.ndarray, float]:
-        """Mean t-th moment over all samples, and its half-sample split error."""
+    def half_sums(batches) -> list[np.ndarray]:
+        """The t-th moments summed over the samples before n_first and over the rest."""
         halves = [np.zeros((dm**t, dm**t), dtype=complex) for _ in range(2)]
-        for states, lo in batches:
+        for states, first in batches:
             def accumulate(sub: int, rho: np.ndarray) -> None:
                 mom = _kron_power_batch(rho, t)
-                cut = min(max(n_first - lo - sub, 0), mom.shape[0])
+                cut = min(max(n_first - first - sub, 0), mom.shape[0])
                 halves[0] += mom[:cut].sum(axis=0)
                 halves[1] += mom[cut:].sum(axis=0)
             _reduce(states, sites, cfg.n, cfg.d, accumulate, moment_bytes)
+        return halves
+
+    def both_sides(lo: int, hi: int, processes: int) -> tuple[list, list]:
+        circuit = half_sums((states, first) for j, states, first
+                            in _simulate(spec, k, cfg, lo, hi, processes) if j == k)
+        return circuit, half_sums(_haar_batches(cfg, lo, hi, processes))
+
+    work = _circuit_work(spec, k, cfg) + cfg.samples * (cfg.d**cfg.n + _STEP_AMPS)
+    (circuit, haar), *rest = _over_ranges(cfg.samples, work, both_sides)
+    for more_circuit, more_haar in rest:
+        for total, part in zip(circuit + haar, more_circuit + more_haar):
+            total += part
+
+    def average(halves: list[np.ndarray]) -> tuple[np.ndarray, float]:
+        """Mean t-th moment over all samples, and its half-sample split error."""
         split = trace_norm(halves[0] / n_first - halves[1] / (cfg.samples - n_first)) / 2.0
         return (halves[0] + halves[1]) / cfg.samples, split
 
-    circ_mean, circ_err = average((states, lo) for j, states, lo in _simulate(spec, k, cfg)
-                                  if j == k)
-    haar_mean, haar_err = average(_haar_batches(cfg))
+    circ_mean, circ_err = average(circuit)
+    haar_mean, haar_err = average(haar)
     return DesignDistance(trace_norm(circ_mean - haar_mean), circ_err, haar_err, cfg.samples)
 
 

@@ -366,6 +366,87 @@ class TestOracleCmd:
         assert run_cli(tmp_path, "oracle", cfg) == 3
 
 
+class TestOracleProcesses:
+    """`oracle` output files do not depend on how many processes run the samples."""
+
+    POLICIES = {"uncorrelated": {"kind": "uncorrelated"},
+                "sweep": {"kind": "sweep", "order": "identity"}}
+
+    @staticmethod
+    def config(out, kind, policy, d, fmt):
+        n = 4
+        regions = ([[i, i + 1] for i in range(n - 1)] if kind == "path"
+                   else [[i, j] for i in range(n) for j in range(i + 1, n)])
+        if policy == "markov":  # each step moves to a region sharing a site
+            rows = []
+            for a in regions:
+                adj = [1.0 if set(a) & set(b) else 0.0 for b in regions]
+                rows.append([x / sum(adj) for x in adj])
+            pol = {"kind": "markov", "initial": [1.0 / len(regions)] * len(regions),
+                   "matrix": rows}
+        else:
+            pol = TestOracleProcesses.POLICIES[policy]
+        return {"model": {"n": n, "d": d, "regions": regions}, "policy": pol,
+                "run": {"initial_region": [0, 1], "k_max": 3, "seed": 11, "samples": 47},
+                "output": {"path": str(out), "format": fmt}}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("policy", ["uncorrelated", "markov", "sweep"])
+    @pytest.mark.parametrize("kind", ["path", "complete"])
+    def test_files_byte_identical_across_counts(self, tmp_path, monkeypatch, kind, policy, d,
+                                                fmt):
+        out = tmp_path / f"oracle.{fmt}"
+        cfg = self.config(out, kind, policy, d, fmt)
+        files = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr("lrqc.oracle._processes", lambda samples, work: count)
+            assert run_cli(tmp_path, "oracle", cfg) == 0
+            files.append(out.read_bytes())
+        assert files[1] == files[0] and files[2] == files[0]
+
+    def test_cap_raised_in_a_child_exits_3(self, tmp_path, monkeypatch, capsys):
+        import multiprocessing
+        from lrqc import oracle
+        from lrqc.errors import CapExceeded
+        parent, real = os.getpid(), oracle._apply_gates_batch
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise CapExceeded("a child's cap")
+            return real(*args)
+        monkeypatch.setattr("lrqc.oracle._apply_gates_batch", failing)
+        monkeypatch.setattr("lrqc.oracle._processes", lambda samples, work: 2)
+        out = tmp_path / "oracle.csv"
+        assert run_cli(tmp_path, "oracle", self.config(out, "path", "uncorrelated", 2, "csv")) == 3
+        assert "a child's cap" in capsys.readouterr().err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_logs_ranges(self, tmp_path, monkeypatch, caplog, count):
+        import re
+        from lrqc import oracle
+        monkeypatch.setattr("lrqc.oracle._processes", lambda samples, work: count)
+        out = tmp_path / "oracle.csv"
+        with caplog.at_level(logging.DEBUG, logger="lrqc"):
+            assert run_cli(tmp_path, "oracle",
+                           self.config(out, "path", "uncorrelated", 2, "csv")) == 0
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("oracle")]
+        if count == 1:
+            assert lines == ["oracle: 1 process over sample ranges [0, 47), "
+                             "BLAS thread control not sought, children's peak RSS none"]
+        elif oracle._blas_control() is None:
+            assert lines == ["oracle: 1 process over sample ranges [0, 47), "
+                             "BLAS thread control not found, children's peak RSS none"]
+        else:
+            assert len(lines) == 1
+            assert re.fullmatch(r"oracle: 2 processes over sample ranges \[0, 23\) \[23, 47\), "
+                                r"BLAS thread control found, children's peak RSS \d+\.\d MiB",
+                                lines[0])
+        assert "peak RSS" not in out.read_text()
+
+
 class TestBoundsCmd:
     def test_rows(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -687,6 +768,15 @@ def test_import_leaves_numpy_random_unloaded():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = "import sys, lrqc.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only an oracle run that forks loads it
+    src = str(Path(lrqc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, lrqc.cli; sys.exit('multiprocessing' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 

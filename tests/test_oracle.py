@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,16 @@ from lrqc import (CapExceeded, CorrelatedSweep, DenseState, EnsembleSpec,
                   mc_average_purity, mc_design_distance, mc_purity_trajectory,
                   mc_trace_distance, path_structure, product_state,
                   purity_trajectory, reduced_purity, sample_regions, trace_norm)
+
+
+# mc_design_distance adds per-range moment sums, so its last bits move with the
+# process count: 5.3e-14 relative at most over 99 configurations of up to 2000 samples
+DESIGN_RANGES_REL = 1e-12
+
+
+def force_processes(monkeypatch, count):
+    """Run the estimators' sample ranges in this many processes, whatever the work."""
+    monkeypatch.setattr("lrqc.oracle._processes", lambda samples, work: count)
 
 
 def two_site_spec(d=2):
@@ -280,9 +291,16 @@ class TestSampleRegions:
             return real(states, sites, gates, n, d)
         monkeypatch.setattr("lrqc.oracle._apply_gates_batch", recorded)
         cfg = OracleConfig(seed=0, samples=samples, d=2, n=4)
-        steps = [j for j, _, _ in oracle._simulate(EnsembleSpec(st, policy, 2), 2, cfg)]
+        spec = EnsembleSpec(st, policy, 2)
+        steps = [j for j, _, _ in oracle._simulate(spec, 2, cfg, 0, samples, 1)]
         assert steps == [0, 1, 2]
         assert applied == [(st.regions[i].sites(), samples) for i in want]
+        # each process of a two-process run simulates its own range the same way
+        for lo, hi in oracle._ranges(samples, 2):
+            applied.clear()
+            steps = [j for j, _, _ in oracle._simulate(spec, 2, cfg, lo, hi, 2)]
+            assert steps == [0, 1, 2]
+            assert applied == [(st.regions[i].sites(), hi - lo) for i in want]
 
 
 class TestMcPurity:
@@ -658,7 +676,7 @@ def _reference_simulate(spec, k_max, cfg, consume):
     elif isinstance(pol, Markov):
         cum_init = np.cumsum(pol.initial)
         cum_rows = [np.cumsum(row) for row in pol.matrix]
-    for lo, hi in oracle._chunks(cfg, 0):
+    for lo, hi in oracle._chunks(cfg, 0, 0, cfg.samples, 1):
         rngs = [np.random.default_rng((cfg.seed, 0, s)) for s in range(lo, hi)]
         c = hi - lo
         states = np.zeros((c, dim), dtype=complex)
@@ -743,7 +761,7 @@ def _reference_design_distance(spec, region, k, t, cfg):
     circ_mean = (halves[0] + halves[1]) / cfg.samples
     dim = cfg.d**cfg.n
     haar_halves = [np.zeros((dmt, dmt), dtype=complex) for _ in range(2)]
-    for lo, hi in oracle._chunks(cfg, 0):
+    for lo, hi in oracle._chunks(cfg, 0, 0, cfg.samples, 1):
         z = np.stack([np.random.default_rng((cfg.seed, 1, s)).standard_normal((2, dim))
                       for s in range(lo, hi)])
         states = z[:, 0, :] + 1j * z[:, 1, :]
@@ -779,7 +797,11 @@ def _engine_specs():
 
 
 class TestEnginePinnedToReference:
-    """Bit-for-bit equality with the former draw code, across forced chunk boundaries."""
+    """Bit-for-bit equality with the former draw code, across forced chunk boundaries.
+
+    The estimators run in one process unless a test forces more; the forked
+    children see the patched chunks too.
+    """
 
     k = 3
     samples = 11  # chunks of 4, 4 and 3; the design distance's half split falls mid-chunk
@@ -788,8 +810,9 @@ class TestEnginePinnedToReference:
     def case(self, request, monkeypatch):
         spec = _engine_specs()[request.param]
         n, d = spec.structure.n, spec.d
-        monkeypatch.setattr("lrqc.oracle._chunks", lambda cfg, extra: (
-            (lo, min(lo + 4, cfg.samples)) for lo in range(0, cfg.samples, 4)))
+        monkeypatch.setattr("lrqc.oracle._chunks", lambda cfg, extra, lo, hi, processes: (
+            (a, min(a + 4, hi)) for a in range(lo, hi, 4)))
+        force_processes(monkeypatch, 1)
         return spec, OracleConfig(seed=31, samples=self.samples, d=d, n=n)
 
     def test_pick_on_ties_and_rounding(self):
@@ -811,11 +834,29 @@ class TestEnginePinnedToReference:
         want = []
         _reference_simulate(spec, self.k, cfg,
                             lambda j, states, lo: want.append((j, lo, states.copy())))
-        got = [(j, lo, states.copy()) for j, states, lo in _simulate(spec, self.k, cfg)]
+        got = [(j, lo, states.copy())
+               for j, states, lo in _simulate(spec, self.k, cfg, 0, cfg.samples, 1)]
         assert [(j, lo) for j, lo, _ in got] == [(j, lo) for j, lo, _ in want]
         assert len({lo for _, lo, _ in got}) == 3
         for (_, _, a), (_, _, b) in zip(got, want):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_state_batches_per_range(self, case, processes):
+        """Each process's range, chunked on its own, gives every sample the states it has
+        in one process."""
+        from lrqc.oracle import _ranges, _simulate
+        spec, cfg = case
+
+        def per_sample(batches):
+            out = np.empty((self.k + 1, cfg.samples, cfg.d**cfg.n), dtype=complex)
+            for j, states, lo in batches:
+                out[j, lo:lo + states.shape[0]] = states
+            return out
+        want = per_sample(_simulate(spec, self.k, cfg, 0, cfg.samples, 1))
+        for lo, hi in _ranges(cfg.samples, processes):
+            got = per_sample(_simulate(spec, self.k, cfg, lo, hi, processes))
+            assert np.array_equal(got[:, lo:hi], want[:, lo:hi])
 
     def test_region_sequences(self, case):
         spec, _ = case
@@ -831,12 +872,34 @@ class TestEnginePinnedToReference:
         assert mc_trace_distance(spec, region, self.k, cfg) \
             == _reference_trace_distance(spec, region, self.k, cfg)
 
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_trace_distance_across_processes(self, case, monkeypatch, processes):
+        spec, cfg = case
+        region = Region.of([0, 1], cfg.n)
+        want = _reference_trace_distance(spec, region, self.k, cfg)
+        force_processes(monkeypatch, processes)
+        assert mc_trace_distance(spec, region, self.k, cfg) == want
+
     @pytest.mark.parametrize("t", [1, 2])
     def test_design_distance(self, case, t):
         spec, cfg = case
         region = Region.of([1], cfg.n)
         assert mc_design_distance(spec, region, self.k, t, cfg) \
             == _reference_design_distance(spec, region, self.k, t, cfg)
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_design_distance_across_processes(self, case, monkeypatch, t, processes):
+        """Per-range sums added in range order move the last bits only."""
+        spec, cfg = case
+        region = Region.of([1], cfg.n)
+        want = _reference_design_distance(spec, region, self.k, t, cfg)
+        force_processes(monkeypatch, processes)
+        got = mc_design_distance(spec, region, self.k, t, cfg)
+        assert got.samples == want.samples
+        for field in ("value", "circuit_err", "haar_err"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field),
+                                                        rel=DESIGN_RANGES_REL, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -937,8 +1000,9 @@ class TestDistanceMemory:
 
     @pytest.mark.parametrize("samples", [10, 40])
     @pytest.mark.parametrize("estimator", ["trace", "design"])
-    def test_peak_within_budget(self, estimator, samples):
+    def test_peak_within_budget(self, monkeypatch, estimator, samples):
         from lrqc import oracle
+        force_processes(monkeypatch, 1)
         n = 8
         spec = EnsembleSpec(path_structure(n), Uncorrelated(), 2)
         cfg = OracleConfig(seed=1, samples=samples, d=2, n=n)
@@ -962,7 +1026,12 @@ class TestDistanceMemory:
 
 class TestChunkBudget:
     """A chunk is sized by every byte a sample holds: its state with the working
-    copies, its generator, its region pick, and its step's Gaussians."""
+    copies, its generator, its region pick, and its step's Gaussians.  Each of P
+    processes chunks its range against _CHUNK_BYTES / P.
+
+    tracemalloc sees one process only, so the estimators run in one process
+    here, and a process's share is measured by simulating its range in this one.
+    """
 
     @staticmethod
     def assert_peak_within_budget(monkeypatch, structure, policy):
@@ -971,10 +1040,11 @@ class TestChunkBudget:
         spec = EnsembleSpec(structure, policy, 2)
         cfg = OracleConfig(seed=1, samples=samples, d=2, n=n)
         region = Region.of([0, 1], n)
+        force_processes(monkeypatch, 1)
         # allocations of a first call that later calls reuse
         mc_purity_trajectory(spec, region, 1, OracleConfig(seed=1, samples=2, d=2, n=n))
         monkeypatch.setattr("lrqc.oracle._CHUNK_BYTES", 1 << 18)
-        assert len(list(oracle._chunks(cfg, 0))) >= 10
+        assert len(list(oracle._chunks(cfg, 0, 0, samples, 1))) >= 10
         tracemalloc.start()
         try:
             mc_purity_trajectory(spec, region, k, cfg)
@@ -982,6 +1052,19 @@ class TestChunkBudget:
         finally:
             tracemalloc.stop()
         assert peak <= oracle._CHUNK_BYTES + 8 * (k + 1) * samples  # budget plus the output
+        # the larger process of two: its range against half the budget
+        lo, hi = oracle._ranges(samples, 2)[-1]
+        assert len(list(oracle._chunks(cfg, 0, lo, hi, 2))) >= 10
+        out = np.empty((k + 1, hi - lo))
+        tracemalloc.start()
+        try:
+            for j, states, first in oracle._simulate(spec, k, cfg, lo, hi, 2):
+                out[j, first - lo:first - lo + states.shape[0]] = oracle._purity_batch(
+                    states, region.sites(), n, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= oracle._CHUNK_BYTES // 2 + out.nbytes
 
     def test_sweep_peak_within_budget(self, monkeypatch):
         self.assert_peak_within_budget(monkeypatch, complete_structure(5),
@@ -1001,13 +1084,101 @@ class TestChunkBudget:
     ])
     def test_default_budget_keeps_one_chunk(self, monkeypatch, structure, samples, policy):
         from lrqc import oracle
-        chunks, real = [], oracle._chunks
+        chunks, extras, real = [], [], oracle._chunks
 
-        def recorded(cfg, extra):
-            chunks.extend(real(cfg, extra))
+        def recorded(cfg, extra, lo, hi, processes):
+            extras.append(extra)
+            chunks.extend(real(cfg, extra, lo, hi, processes))
             return iter(chunks)
         monkeypatch.setattr("lrqc.oracle._chunks", recorded)
+        force_processes(monkeypatch, 1)
         n = structure.n
         cfg = OracleConfig(seed=1, samples=samples, d=2, n=n)
         mc_purity_trajectory(EnsembleSpec(structure, policy, 2), Region.of([0, 1], n), 1, cfg)
         assert chunks == [(0, samples)]
+        # each process's range is one chunk, for every process count up to the cores here
+        for processes in range(2, len(os.sched_getaffinity(0)) + 2):
+            for lo, hi in oracle._ranges(samples, processes):
+                assert list(real(cfg, extras[0], lo, hi, processes)) == [(lo, hi)]
+
+
+# ---------------------------------------------------------------------------
+# Sample ranges across processes
+# ---------------------------------------------------------------------------
+
+class TestProcessCount:
+    """The process count and the ranges it cuts; TestEnginePinnedToReference checks that
+    the estimators' values do not depend on it."""
+
+    def test_count_is_capped_by_cores_samples_and_work(self):
+        from lrqc import oracle
+        cores = len(os.sched_getaffinity(0))
+        assert oracle._processes(10**6, 10**15) == cores
+        assert oracle._processes(2, 10**15) == min(cores, 2)
+        assert oracle._processes(10**6, oracle._FORK_WORK - 1) == 1
+        assert oracle._processes(10**6, 2 * oracle._FORK_WORK) == min(cores, 2)
+        assert oracle._processes(10**6, 0) == 1
+
+    @pytest.mark.parametrize("samples", [2, 3, 7, 300])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_ranges_cut_the_samples(self, samples, count):
+        from lrqc import oracle
+        ranges = oracle._ranges(samples, count)
+        assert len(ranges) == count
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == samples
+        assert max(hi - lo for lo, hi in ranges) - min(hi - lo for lo, hi in ranges) <= 1
+
+
+class TestProcessHygiene:
+    """Every child is joined, on success and on failure, and BLAS threads are restored."""
+
+    spec = EnsembleSpec(path_structure(4), Uncorrelated(), 2)
+    cfg = OracleConfig(seed=3, samples=40, d=2, n=4)
+
+    @staticmethod
+    def blas_threads():
+        from lrqc import oracle
+        control = oracle._blas_control()
+        return None if control is None else control[0]()
+
+    def test_no_child_after_return(self, monkeypatch):
+        import multiprocessing
+        before = self.blas_threads()
+        force_processes(monkeypatch, 3)
+        mc_purity_trajectory(self.spec, Region.of([0], 4), 3, self.cfg)
+        assert multiprocessing.active_children() == []
+        assert self.blas_threads() == before
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_no_child_after_a_raise(self, monkeypatch, where):
+        import multiprocessing
+        from lrqc import oracle
+        parent, real = os.getpid(), oracle._purity_batch
+
+        def failing(states, sites, n, d):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise CapExceeded(f"raised in the {where}")
+            return real(states, sites, n, d)
+        monkeypatch.setattr("lrqc.oracle._purity_batch", failing)
+        before = self.blas_threads()
+        force_processes(monkeypatch, 3)
+        with pytest.raises(CapExceeded, match=f"raised in the {where}"):
+            mc_purity_trajectory(self.spec, Region.of([0], 4), 3, self.cfg)
+        assert multiprocessing.active_children() == []
+        assert self.blas_threads() == before
+
+    def test_without_blas_control_one_process_runs(self, monkeypatch, caplog):
+        import logging
+        import multiprocessing
+        force_processes(monkeypatch, 1)
+        want = mc_purity_trajectory(self.spec, Region.of([0], 4), 3, self.cfg)
+        monkeypatch.setattr("lrqc.oracle._blas_control", lambda: None)
+        force_processes(monkeypatch, 2)
+        with caplog.at_level(logging.DEBUG, logger="lrqc"):
+            got = mc_purity_trajectory(self.spec, Region.of([0], 4), 3, self.cfg)
+        assert got == want
+        assert multiprocessing.active_children() == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "oracle: 1 process over sample ranges [0, 40), BLAS thread control not found, "
+            "children's peak RSS none"]
