@@ -56,6 +56,9 @@ class ExperimentConfig:
             bad = set(section) - keys
             if bad:
                 raise ValidationError(f"unknown keys in '{name}': {sorted(bad)}")
+        for key in ("regions", "weights"):  # a family builds its own regions and weights
+            if "family" in cfg.model and key in cfg.model:
+                raise ValidationError(f"model.family and model.{key} cannot both be given")
         return cfg
 
     def canonical(self) -> dict[str, Any]:

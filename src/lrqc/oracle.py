@@ -29,8 +29,10 @@ order, so the output does not depend on the process count, except for the
 last bits of the design distance's moment sums, which add per-range partial
 sums.  While the ranges run, every process's OpenBLAS runs one thread, the
 caller's count restored afterwards; where no OpenBLAS thread control is found,
-one process runs every range.  Each process cuts its range into chunks against
-its share of the byte budget, _CHUNK_BYTES divided by the process count.
+one process runs every range.  Each range is cut into chunks against its share
+of _CHUNK_BYTES by sample count, _CHUNK_BYTES * (hi - lo) // samples, so the
+shares add up to at most the budget, a range is one chunk when the whole run
+would be, and the simulation of a range never needs the process count.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ STATE_DIM_CAP = 1 << 20
 MATRIX_DIM_CAP = 1 << 10
 SUPEROP_DIM_CAP = 1 << 12
 _NORM_TOL = 1e-10
-_CHUNK_BYTES = 1 << 28  # bytes held per batch of samples over all processes, counted by _chunks
+_CHUNK_BYTES = 1 << 28  # bytes held per batch of samples over all ranges, counted by _chunks
 _GENERATOR_BYTES = 3 << 9  # a per-sample Generator: 793 B at its peak by tracemalloc
 _REDUCE_BYTES = 1 << 22  # bytes of factors and products per reduction sub-batch
 _GRAM_SCHMIDT_MAX_DIM = 7  # largest gate made by Gram-Schmidt, not QR: the measured crossover
@@ -456,25 +458,26 @@ def _streams(seed: int, tag: int, lo: int, hi: int) -> list[np.random.Generator]
 # Batched circuit simulation
 # ---------------------------------------------------------------------------
 
-def _chunks(cfg: OracleConfig, extra: int, lo: int, hi: int,
-            processes: int) -> Iterator[tuple[int, int]]:
-    """(a, b) pieces of the sample range [lo, hi) whose batches fit this process's share
-    of _CHUNK_BYTES, _CHUNK_BYTES / processes, or single samples.
+def _chunks(cfg: OracleConfig, extra: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """(a, b) pieces of the sample range [lo, hi) whose batches fit the range's share of
+    _CHUNK_BYTES by sample count, _CHUNK_BYTES * (hi - lo) // samples, or single samples.
 
     A sample holds its generator, its state with up to four working copies
     (three while a gate is applied, or the factors and products of a purity
-    reduction) and ``extra`` further bytes.
+    reduction) and ``extra`` further bytes.  The shares of ranges that cut the
+    samples add up to at most _CHUNK_BYTES, and a range is one chunk when the
+    whole run would be.
     """
     per_sample = _GENERATOR_BYTES + 5 * 16 * cfg.d**cfg.n + extra
-    size = max(1, min(hi - lo, _CHUNK_BYTES // processes // per_sample))
+    size = max(1, min(hi - lo, _CHUNK_BYTES * (hi - lo) // cfg.samples // per_sample))
     for a in range(lo, hi, size):
         yield a, min(a + size, hi)
 
 
-def _simulate(spec: EnsembleSpec, k_max: int, cfg: OracleConfig, lo: int, hi: int,
-              processes: int) -> Iterator[tuple[int, np.ndarray, int]]:
+def _simulate(spec: EnsembleSpec, k_max: int, cfg: OracleConfig, lo: int,
+              hi: int) -> Iterator[tuple[int, np.ndarray, int]]:
     """Run samples [lo, hi) for k_max steps, yielding (j, states, first_index) per chunk and
-    step, the chunks cut against the share of one of ``processes`` processes.
+    step.
 
     The yielded batch may be overwritten by the next step.
     """
@@ -498,7 +501,7 @@ def _simulate(spec: EnsembleSpec, k_max: int, cfg: OracleConfig, lo: int, hi: in
     # pick: its uniform, the gathered row of cumulative weights and its comparison, and a few
     # index words (165 B at path n = 5 by tracemalloc)
     extra = 8 * width + 6 * 16 * int(dims.max()) ** 2 + 160 + 9 * len(regions)
-    for a, b in _chunks(cfg, extra, lo, hi, processes):
+    for a, b in _chunks(cfg, extra, lo, hi):
         rngs = _streams(cfg.seed, 0, a, b)
         states = np.zeros((b - a, d**n), dtype=complex)
         states[:, 0] = 1.0
@@ -569,19 +572,18 @@ def _blas_control():
     return None
 
 
-def _forked(ranges: list[tuple[int, int]], run: Callable[[int, int, int], _T],
+def _forked(ranges: list[tuple[int, int]], run: Callable[[int, int], _T],
             get_threads, set_threads) -> list[_T]:
-    """run(lo, hi, processes) for each range, the first here and the others in forked
-    children, each with one BLAS thread; every child is joined before this returns."""
+    """run(lo, hi) for each range, the first here and the others in forked children, each
+    with one BLAS thread; every child is joined before this returns."""
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    processes = len(ranges)
 
     def child(send, lo: int, hi: int) -> None:
         set_threads(1)
         try:
-            out = True, run(lo, hi, processes)
+            out = True, run(lo, hi)
         except BaseException as exc:  # handed to the parent, which raises it
             out = False, exc
         send.send(out)
@@ -596,7 +598,7 @@ def _forked(ranges: list[tuple[int, int]], run: Callable[[int, int, int], _T],
             proc.start()
             send.close()
             children.append((proc, recv, lo, hi))
-        results = [run(*ranges[0], processes)]
+        results = [run(*ranges[0])]
         for proc, recv, lo, hi in children:  # drained before the joins
             try:
                 ok, value = recv.recv()
@@ -619,8 +621,8 @@ def _forked(ranges: list[tuple[int, int]], run: Callable[[int, int, int], _T],
     return results
 
 
-def _over_ranges(samples: int, work: int, run: Callable[[int, int, int], _T]) -> list[_T]:
-    """run(lo, hi, processes) on contiguous ranges that cut [0, samples), in range order.
+def _over_ranges(samples: int, work: int, run: Callable[[int, int], _T]) -> list[_T]:
+    """run(lo, hi) on contiguous ranges that cut [0, samples), in range order.
 
     The calling process runs the first range and forked children the others, as many
     as ``_processes`` gives; without a BLAS thread control one process runs them all.
@@ -634,7 +636,7 @@ def _over_ranges(samples: int, work: int, run: Callable[[int, int, int], _T]) ->
         processes = 1
     ranges = _ranges(samples, processes)
     if processes == 1:
-        results, children = [run(0, samples, 1)], "none"
+        results, children = [run(0, samples)], "none"
     else:
         import resource
 
@@ -672,9 +674,9 @@ def mc_purity_trajectory(spec: EnsembleSpec, initial_region: Region, k_max: int,
         raise ValueError("k_max must be >= 0")
     sites = _region_sites(initial_region, cfg)
 
-    def purities(lo: int, hi: int, processes: int) -> np.ndarray:
+    def purities(lo: int, hi: int) -> np.ndarray:
         out = np.empty((k_max + 1, hi - lo))
-        for j, states, first in _simulate(spec, k_max, cfg, lo, hi, processes):
+        for j, states, first in _simulate(spec, k_max, cfg, lo, hi):
             out[j, first - lo:first - lo + states.shape[0]] = _purity_batch(states, sites,
                                                                             cfg.n, cfg.d)
         return out
@@ -699,9 +701,9 @@ def mc_trace_distance(spec: EnsembleSpec, region: Region, k: int,
     if dm > MATRIX_DIM_CAP:
         raise CapExceeded(f"reduced dimension {dm} exceeds the eigensolver cap {MATRIX_DIM_CAP}")
 
-    def distances(lo: int, hi: int, processes: int) -> np.ndarray:
+    def distances(lo: int, hi: int) -> np.ndarray:
         out = np.empty(hi - lo)
-        for j, states, first in _simulate(spec, k, cfg, lo, hi, processes):
+        for j, states, first in _simulate(spec, k, cfg, lo, hi):
             if j != k:
                 continue
 
@@ -724,12 +726,11 @@ def _kron_power_batch(rho: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def _haar_batches(cfg: OracleConfig, lo: int, hi: int,
-                  processes: int) -> Iterator[tuple[np.ndarray, int]]:
+def _haar_batches(cfg: OracleConfig, lo: int, hi: int) -> Iterator[tuple[np.ndarray, int]]:
     """(states, first_index) chunks of global Haar states for samples [lo, hi), sample s from
-    stream (seed, 1, s), the chunks cut against the share of one of ``processes`` processes."""
+    stream (seed, 1, s)."""
     dim = cfg.d**cfg.n
-    for a, b in _chunks(cfg, 32 * dim, lo, hi, processes):  # the draws, then their states
+    for a, b in _chunks(cfg, 32 * dim, lo, hi):  # the draws, then their states
         z = np.empty((b - a, 2, dim))
         for rng, row in zip(_streams(cfg.seed, 1, a, b), z):
             rng.standard_normal(out=row)
@@ -768,10 +769,10 @@ def mc_design_distance(spec: EnsembleSpec, region: Region, k: int, t: int,
             _reduce(states, sites, cfg.n, cfg.d, accumulate, moment_bytes)
         return halves
 
-    def both_sides(lo: int, hi: int, processes: int) -> tuple[list, list]:
+    def both_sides(lo: int, hi: int) -> tuple[list, list]:
         circuit = half_sums((states, first) for j, states, first
-                            in _simulate(spec, k, cfg, lo, hi, processes) if j == k)
-        return circuit, half_sums(_haar_batches(cfg, lo, hi, processes))
+                            in _simulate(spec, k, cfg, lo, hi) if j == k)
+        return circuit, half_sums(_haar_batches(cfg, lo, hi))
 
     work = _circuit_work(spec, k, cfg) + cfg.samples * (cfg.d**cfg.n + _STEP_AMPS)
     (circuit, haar), *rest = _over_ranges(cfg.samples, work, both_sides)
@@ -823,13 +824,6 @@ def exact_first_moment_map(op: np.ndarray, region: Region, d: int) -> np.ndarray
     return _from_region_factors(out, sites, 2 * n, d).reshape(dim, dim)
 
 
-def _copy_swap_matrix(dm: int) -> np.ndarray:
-    idx = np.arange(dm * dm)
-    out = np.zeros((dm * dm, dm * dm))
-    out[(idx % dm) * dm + idx // dm, idx] = 1.0
-    return out
-
-
 def exact_second_moment_projection(op: np.ndarray, region: Region, d: int) -> np.ndarray:
     """Haar average of two-copy conjugation by a unitary on the region.
 
@@ -851,7 +845,7 @@ def exact_second_moment_projection(op: np.ndarray, region: Region, d: int) -> np
     pseudo = [n + s for s in region.sites()] + list(region.sites())
     sites = [2 * n + p for p in pseudo] + pseudo
     dm = d**region.size
-    swap = _copy_swap_matrix(dm)
+    swap = dense_swap(Region.full(1), dm)
     eye = np.eye(dm * dm)
     blocks = _region_factors(op.reshape(1, -1), sites, 4 * n, d)
     t4 = blocks.reshape(dm * dm, dm * dm, dim2 // (dm * dm), -1)

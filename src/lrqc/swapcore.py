@@ -17,7 +17,6 @@ Everything here is exact linear algebra; the Monte Carlo cross-check lives in
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
@@ -37,7 +36,6 @@ RANK_TOL = 1e-9
 _WEIGHT_SUM_TOL = 1e-12
 _LANCZOS_TOL = 1e-13  # Ritz residual bound; B^T B has norm at most 1
 _LANCZOS_ROWS = 32  # first allocation of the Lanczos basis, in vectors
-_SITE_BLOCK_BYTES = 1 << 19  # rows of a batch mapped together by _on_sites
 _OBJECT_BYTES = 16 << 10  # arrays' headers and other small objects of one build: about 8 KiB
 _MERGE_BYTES = 1 << 22  # bytes of one group's scattered image, or of a dense accumulator
 _MASK_BYTES = 256  # bytes a group's scatter and image hold per region and mask; ~100 measured
@@ -611,21 +609,12 @@ def _site_maps(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _on_sites(site: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The n-fold Kronecker power of a 2x2 map applied to each row of a (batch, 2^n) array.
-
-    Rows are mapped in blocks of at most ``_SITE_BLOCK_BYTES``, so the working
-    copies of a large batch stay small beside the output.
-    """
+    """The n-fold Kronecker power of a 2x2 map applied to each row of a (batch, 2^n) array."""
     batch, size = x.shape
-    rows = max(1, _SITE_BLOCK_BYTES // (8 * size))
-    out = np.empty((batch, size))
-    for lo in range(0, batch, rows):
-        y = x[lo:lo + rows].T  # block last: map the leading site, rotate it in front of the block
-        block = y.shape[1]
-        for _ in range(size.bit_length() - 1):
-            y = (site @ y.reshape(2, -1)).reshape(2, -1, block).swapaxes(0, 1)
-        out[lo:lo + block] = y.reshape(size, block).T
-    return out
+    y = x.T  # batch last: map the leading site, rotate it in front of the batch
+    for _ in range(size.bit_length() - 1):
+        y = (site @ y.reshape(2, -1)).reshape(2, -1, batch).swapaxes(0, 1)
+    return y.reshape(size, batch).T
 
 
 def _gram_root(d: int, power: int) -> np.ndarray:
@@ -636,11 +625,11 @@ def _gram_root(d: int, power: int) -> np.ndarray:
 
 
 def _gram_block(size: int, d: int) -> np.ndarray:
-    """s^(x size) P s^-(x size) for the gate map P of a region on all of its ``size`` sites."""
+    """s^(x size) P s^-(x size) for the gate map P of a region on all of its ``size`` sites:
+    s^-(x size) maps the rows of P and s^(x size) those of the transpose, both symmetric."""
     gate = build_swap_matrix(EnsembleSpec(
         LocalStructure(size, (Region((1 << size) - 1, size),)), Uncorrelated(), d))
-    root, inverse = (functools.reduce(np.kron, [_gram_root(d, p)] * size) for p in (1, -1))
-    return root @ gate @ inverse
+    return _on_sites(_gram_root(d, 1), _on_sites(_gram_root(d, -1), gate).T).T
 
 
 def gram_half(spec: EnsembleSpec, sign: int) -> np.ndarray:

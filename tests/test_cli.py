@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import lrqc
 from lrqc import (EnsembleSpec, LocalStructure, PathParams, Region, Uncorrelated, __version__,
                   build_swap_matrix, complete_structure, fixed_space_dimension, spectral_gap_1d)
-from lrqc.cli import _fixcheck_rows, main, read_metadata_config
+from lrqc.cli import COMMANDS, _fixcheck_rows, main, read_metadata_config
 
 
 def run_cli(tmp_path, command, config, name="cfg.json", extra=()):
@@ -654,6 +654,15 @@ class TestValidation:
         ("gap", "model", {"n": 4, "d": 2, "family": None}, "model.family must be an object"),
         ("gap", "model", {"n": 4, "d": 2, "family": {"kind": ["path"], "sizes": [3]}},
          "unknown family kind"),
+        ("gap", "model", {"n": 4, "d": 2, "weights": [0.9, 0.05, 0.05],
+                          "family": {"kind": "path", "sizes": [4]}},
+         "model.family and model.weights cannot both be given"),
+        ("gap", "model", {"n": 4, "d": 2, "regions": [[0, 1], [1, 2], [2, 3]],
+                          "weights": [0.9, 0.05, 0.05], "family": {"kind": "path", "sizes": [4]}},
+         "model.family and model.regions cannot both be given"),
+        ("evolve", "model", {"n": 5, "d": 2, "regions": [[0, 1], [1, 2], [2, 3], [3, 4]],
+                             "family": {"kind": "path", "sizes": [5]}},
+         "model.family and model.regions cannot both be given"),
     ])
     def test_sections_must_be_objects(self, tmp_path, capsys, command, section, value, message):
         out = tmp_path / "x.csv"
@@ -662,6 +671,19 @@ class TestValidation:
         assert run_cli(tmp_path, command, cfg, extra=("--out", str(out))) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["regions", "weights"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_family_beside_regions_or_weights(self, tmp_path, capsys, command, key):
+        out = tmp_path / "x.csv"
+        cfg = base_config(str(out), model={"family": {"kind": "path", "sizes": [5]}})
+        if key == "weights":
+            del cfg["model"]["regions"]
+            cfg["model"]["weights"] = [0.25] * 4
+        assert run_cli(tmp_path, command, cfg) == 2
+        err = capsys.readouterr().err
+        assert f"error: model.family and model.{key} cannot both be given" in err
         assert not out.exists()
 
     def test_bad_weights(self, tmp_path):

@@ -5,6 +5,7 @@ space from an SVD of M - I, the dense Kronecker power of the one-site Gram
 Cholesky factor and its inverse, and the largest singular value of the
 projected, conjugated step matrix from a second SVD.
 """
+import functools
 import logging
 import tracemalloc
 
@@ -15,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from lrqc import (CapExceeded, CorrelatedSweep, EnsembleSpec, LocalStructure, Region,
                   Uncorrelated, build_swap_matrix, complete_structure, connected_components,
                   fixed_space_dimension, path_structure, spectral_gap_swap)
-from lrqc.swapcore import MATRIX_BYTE_BUDGET, RANK_TOL, _matrix_bytes, gram_half
+from lrqc.swapcore import (MATRIX_BYTE_BUDGET, RANK_TOL, _gram_root, _matrix_bytes, _on_sites,
+                           _site_maps, gram_half)
 
 
 def dense_gap_reference(matrix, d, tol=RANK_TOL):
@@ -206,6 +208,30 @@ class TestGramSymmetricStep:
         fixed_space_dimension(gram_half(spec, -1))
         fixed_space_dimension(build_swap_matrix(spec))
         assert capsys.readouterr() == ("", "")
+
+
+def _gram_site_maps(d):
+    """The 2x2 maps whose Kronecker powers the gap and ``gram_half`` apply by ``_on_sites``:
+    C^T and C^-T of the Cholesky factor C, and the symmetric Gram root and its inverse."""
+    chol, inv_t = _site_maps(d)
+    return [chol.T, inv_t, _gram_root(d, 1), _gram_root(d, -1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 1 << n))),
+       st.sampled_from([2, 3]), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example((7, 128), 2, 3, 0)  # a whole 2^7-row gate block
+@example((1, 1), 3, 0, 0)
+def test_on_sites_batch_matches_dense_kronecker_power(shape, d, which, seed):
+    """Every row of a batch mapped by ``_on_sites`` is the row times the dense transposed
+    power: the gap maps one row, ``_gram_block`` all 2^|r| rows of a gate map at once."""
+    n, rows = shape
+    site = _gram_site_maps(d)[which]
+    x = np.random.default_rng(seed).standard_normal((rows, 1 << n))
+    want = x @ functools.reduce(np.kron, [site] * n).T
+    got = _on_sites(site, x)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max() * (1 << n)
 
 
 @settings(max_examples=150, deadline=None)

@@ -292,13 +292,13 @@ class TestSampleRegions:
         monkeypatch.setattr("lrqc.oracle._apply_gates_batch", recorded)
         cfg = OracleConfig(seed=0, samples=samples, d=2, n=4)
         spec = EnsembleSpec(st, policy, 2)
-        steps = [j for j, _, _ in oracle._simulate(spec, 2, cfg, 0, samples, 1)]
+        steps = [j for j, _, _ in oracle._simulate(spec, 2, cfg, 0, samples)]
         assert steps == [0, 1, 2]
         assert applied == [(st.regions[i].sites(), samples) for i in want]
         # each process of a two-process run simulates its own range the same way
         for lo, hi in oracle._ranges(samples, 2):
             applied.clear()
-            steps = [j for j, _, _ in oracle._simulate(spec, 2, cfg, lo, hi, 2)]
+            steps = [j for j, _, _ in oracle._simulate(spec, 2, cfg, lo, hi)]
             assert steps == [0, 1, 2]
             assert applied == [(st.regions[i].sites(), hi - lo) for i in want]
 
@@ -676,7 +676,7 @@ def _reference_simulate(spec, k_max, cfg, consume):
     elif isinstance(pol, Markov):
         cum_init = np.cumsum(pol.initial)
         cum_rows = [np.cumsum(row) for row in pol.matrix]
-    for lo, hi in oracle._chunks(cfg, 0, 0, cfg.samples, 1):
+    for lo, hi in oracle._chunks(cfg, 0, 0, cfg.samples):
         rngs = [np.random.default_rng((cfg.seed, 0, s)) for s in range(lo, hi)]
         c = hi - lo
         states = np.zeros((c, dim), dtype=complex)
@@ -761,7 +761,7 @@ def _reference_design_distance(spec, region, k, t, cfg):
     circ_mean = (halves[0] + halves[1]) / cfg.samples
     dim = cfg.d**cfg.n
     haar_halves = [np.zeros((dmt, dmt), dtype=complex) for _ in range(2)]
-    for lo, hi in oracle._chunks(cfg, 0, 0, cfg.samples, 1):
+    for lo, hi in oracle._chunks(cfg, 0, 0, cfg.samples):
         z = np.stack([np.random.default_rng((cfg.seed, 1, s)).standard_normal((2, dim))
                       for s in range(lo, hi)])
         states = z[:, 0, :] + 1j * z[:, 1, :]
@@ -810,7 +810,7 @@ class TestEnginePinnedToReference:
     def case(self, request, monkeypatch):
         spec = _engine_specs()[request.param]
         n, d = spec.structure.n, spec.d
-        monkeypatch.setattr("lrqc.oracle._chunks", lambda cfg, extra, lo, hi, processes: (
+        monkeypatch.setattr("lrqc.oracle._chunks", lambda cfg, extra, lo, hi: (
             (a, min(a + 4, hi)) for a in range(lo, hi, 4)))
         force_processes(monkeypatch, 1)
         return spec, OracleConfig(seed=31, samples=self.samples, d=d, n=n)
@@ -835,7 +835,7 @@ class TestEnginePinnedToReference:
         _reference_simulate(spec, self.k, cfg,
                             lambda j, states, lo: want.append((j, lo, states.copy())))
         got = [(j, lo, states.copy())
-               for j, states, lo in _simulate(spec, self.k, cfg, 0, cfg.samples, 1)]
+               for j, states, lo in _simulate(spec, self.k, cfg, 0, cfg.samples)]
         assert [(j, lo) for j, lo, _ in got] == [(j, lo) for j, lo, _ in want]
         assert len({lo for _, lo, _ in got}) == 3
         for (_, _, a), (_, _, b) in zip(got, want):
@@ -853,9 +853,9 @@ class TestEnginePinnedToReference:
             for j, states, lo in batches:
                 out[j, lo:lo + states.shape[0]] = states
             return out
-        want = per_sample(_simulate(spec, self.k, cfg, 0, cfg.samples, 1))
+        want = per_sample(_simulate(spec, self.k, cfg, 0, cfg.samples))
         for lo, hi in _ranges(cfg.samples, processes):
-            got = per_sample(_simulate(spec, self.k, cfg, lo, hi, processes))
+            got = per_sample(_simulate(spec, self.k, cfg, lo, hi))
             assert np.array_equal(got[:, lo:hi], want[:, lo:hi])
 
     def test_region_sequences(self, case):
@@ -1026,8 +1026,9 @@ class TestDistanceMemory:
 
 class TestChunkBudget:
     """A chunk is sized by every byte a sample holds: its state with the working
-    copies, its generator, its region pick, and its step's Gaussians.  Each of P
-    processes chunks its range against _CHUNK_BYTES / P.
+    copies, its generator, its region pick, and its step's Gaussians.  Each range
+    of a split is chunked against its share of _CHUNK_BYTES by sample count,
+    _CHUNK_BYTES * (hi - lo) // samples.
 
     tracemalloc sees one process only, so the estimators run in one process
     here, and a process's share is measured by simulating its range in this one.
@@ -1044,7 +1045,7 @@ class TestChunkBudget:
         # allocations of a first call that later calls reuse
         mc_purity_trajectory(spec, region, 1, OracleConfig(seed=1, samples=2, d=2, n=n))
         monkeypatch.setattr("lrqc.oracle._CHUNK_BYTES", 1 << 18)
-        assert len(list(oracle._chunks(cfg, 0, 0, samples, 1))) >= 10
+        assert len(list(oracle._chunks(cfg, 0, 0, samples))) >= 10
         tracemalloc.start()
         try:
             mc_purity_trajectory(spec, region, k, cfg)
@@ -1054,11 +1055,11 @@ class TestChunkBudget:
         assert peak <= oracle._CHUNK_BYTES + 8 * (k + 1) * samples  # budget plus the output
         # the larger process of two: its range against half the budget
         lo, hi = oracle._ranges(samples, 2)[-1]
-        assert len(list(oracle._chunks(cfg, 0, lo, hi, 2))) >= 10
+        assert len(list(oracle._chunks(cfg, 0, lo, hi))) >= 10
         out = np.empty((k + 1, hi - lo))
         tracemalloc.start()
         try:
-            for j, states, first in oracle._simulate(spec, k, cfg, lo, hi, 2):
+            for j, states, first in oracle._simulate(spec, k, cfg, lo, hi):
                 out[j, first - lo:first - lo + states.shape[0]] = oracle._purity_batch(
                     states, region.sites(), n, 2)
             _, peak = tracemalloc.get_traced_memory()
@@ -1086,9 +1087,9 @@ class TestChunkBudget:
         from lrqc import oracle
         chunks, extras, real = [], [], oracle._chunks
 
-        def recorded(cfg, extra, lo, hi, processes):
+        def recorded(cfg, extra, lo, hi):
             extras.append(extra)
-            chunks.extend(real(cfg, extra, lo, hi, processes))
+            chunks.extend(real(cfg, extra, lo, hi))
             return iter(chunks)
         monkeypatch.setattr("lrqc.oracle._chunks", recorded)
         force_processes(monkeypatch, 1)
@@ -1099,7 +1100,22 @@ class TestChunkBudget:
         # each process's range is one chunk, for every process count up to the cores here
         for processes in range(2, len(os.sched_getaffinity(0)) + 2):
             for lo, hi in oracle._ranges(samples, processes):
-                assert list(real(cfg, extras[0], lo, hi, processes)) == [(lo, hi)]
+                assert list(real(cfg, extras[0], lo, hi)) == [(lo, hi)]
+
+    @pytest.mark.parametrize("samples", [3, 7, 300])
+    def test_range_shares_keep_one_chunk(self, monkeypatch, samples):
+        """With a budget of exactly the run's bytes, each range of every split is one chunk,
+        and one byte less cuts each range of two or more samples."""
+        from lrqc import oracle
+        cfg, extra = OracleConfig(seed=1, samples=samples, d=2, n=5), 100
+        per_sample = oracle._GENERATOR_BYTES + 5 * 16 * 2**5 + extra
+        counts = range(1, min(samples, len(os.sched_getaffinity(0)) + 1) + 1)
+        for budget, whole in ((samples * per_sample, True), (samples * per_sample - 1, False)):
+            monkeypatch.setattr("lrqc.oracle._CHUNK_BYTES", budget)
+            for processes in counts:
+                for lo, hi in oracle._ranges(samples, processes):
+                    one = list(oracle._chunks(cfg, extra, lo, hi)) == [(lo, hi)]
+                    assert one == (whole or hi - lo == 1), (budget, processes, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -1167,6 +1183,29 @@ class TestProcessHygiene:
             mc_purity_trajectory(self.spec, Region.of([0], 4), 3, self.cfg)
         assert multiprocessing.active_children() == []
         assert self.blas_threads() == before
+
+    def test_ranges_run_with_one_blas_thread(self, monkeypatch):
+        """The parent's range and the child's each run with one BLAS thread, whatever the
+        caller's count, which is restored afterwards."""
+        from lrqc import oracle
+        control = oracle._blas_control()
+        if control is None:
+            pytest.skip("no OpenBLAS thread control")
+        get_threads, set_threads = control
+        real = oracle._purity_batch
+
+        def checked(states, sites, n, d):  # a child's AssertionError reaches here by its pipe
+            assert get_threads() == 1, f"{get_threads()} BLAS threads in process {os.getpid()}"
+            return real(states, sites, n, d)
+        monkeypatch.setattr("lrqc.oracle._purity_batch", checked)
+        force_processes(monkeypatch, 2)
+        before = get_threads()
+        set_threads(2)
+        try:
+            mc_purity_trajectory(self.spec, Region.of([0], 4), 3, self.cfg)
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
 
     def test_without_blas_control_one_process_runs(self, monkeypatch, caplog):
         import logging
