@@ -11,9 +11,10 @@ from typing import Any
 
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import check_cap
 from .regions import Region, in_boundary
-from .swapcore import LocalStructure, _groups, _region_maps, _scatter
+from .swapcore import (EnsembleSpec, LocalStructure, Uncorrelated, _groups, _region_maps,
+                       _scatter, _stages)
 
 MAX_CANDIDATE_REGIONS = 20
 _ENUMERATION_BYTES = 1 << 25  # bytes of one search depth's images and their merge copies
@@ -71,16 +72,15 @@ def reachable_boundary_column(initial: Region, structure: LocalStructure,
         raise ValueError("initial region universe does not match the structure")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    stage = [(q, idx) for idx, q in enumerate(structure.weight_vector()) if q]  # as in _stages
+    (stage,) = _stages(EnsembleSpec(structure, Uncorrelated(), 2))
     maps = _region_maps(structure.regions, 2)  # d only sets the branch weights, unused here
     seen = frontier = np.array([initial.bits], dtype=np.uint64)
     p_max, p_min, out = -math.inf, math.inf, []
     for depth in range(k_max + 1):
         grow = depth < k_max
         need = 4 * 2 * 8 * len(stage) * frontier.size if grow else 0
-        if need > _ENUMERATION_BYTES:
-            raise CapExceeded(f"reachable-region enumeration at depth {depth} needs {need} bytes, "
-                              f"over its budget of {_ENUMERATION_BYTES} bytes")
+        check_cap(f"reachable-region enumeration at depth {depth}", need, _ENUMERATION_BYTES,
+                  " bytes")
         probs, reached = np.zeros(frontier.size), []
         for q, idx in _groups(stage, frontier.size):
             erased, _, (row, src, filled, _) = _scatter(frontier, maps, list(idx))
@@ -97,8 +97,7 @@ def reachable_boundary_column(initial: Region, structure: LocalStructure,
             new = np.searchsorted(seen, reached, side="right") == at
             frontier = reached[new]
             seen = np.insert(seen, at[new], frontier)
-            if seen.size > 1 << 16:
-                raise CapExceeded("reachable-region enumeration exceeded 2^16 regions")
+            check_cap("reachable-region enumeration", seen.size, 1 << 16, " regions")
     return out
 
 

@@ -27,7 +27,7 @@ from .bounds import (area_law_bound, boundary_probability, BoundReport,
 from .config import (ExperimentConfig, ValidationError, family_structures,
                      load_config, model_shape, region_from_sites,
                      run_int, spec_from_config, structure_from_model)
-from .errors import CapExceeded
+from .errors import CapExceeded, check_cap
 from .oracle import OracleConfig, mc_purity_trajectory
 from .path1d import PathParams, purity_exact, short_time_form, spectrum
 from .regions import Region
@@ -72,6 +72,9 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        mask = os.umask(0)  # mkstemp made the file 0600; give it the mode open() would
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -337,9 +340,8 @@ def _fixcheck_rows(structure: LocalStructure, d: int):
 
 def cmd_fixcheck(cfg: ExperimentConfig) -> ResultTable:
     n, d = model_shape(cfg.model)
-    if n > FIXCHECK_MAX_SITES:
-        raise CapExceeded(f"fixcheck is capped at {FIXCHECK_MAX_SITES} sites, got {n}: the cap "
-                          "bounds the time of the dense symmetric eigensolver, not memory")
+    check_cap("fixcheck, whose cap bounds the dense symmetric eigensolver's time, not memory,",
+              n, FIXCHECK_MAX_SITES, " sites")
     structure = structure_from_model(cfg.model)
     cases, details, predicted, measured, passed = [], [], [], [], []
     for case, involved, pred, meas in _fixcheck_rows(structure, d):

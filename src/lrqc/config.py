@@ -108,6 +108,8 @@ def model_shape(model: dict[str, Any]) -> tuple[int, int]:
 def region_from_sites(sites: Any, n: int) -> Region:
     if not isinstance(sites, (list, tuple)) or not all(_is_int(s) for s in sites):
         raise ValidationError(f"a region must be a list of site indices, got {sites!r}")
+    if len(set(sites)) != len(sites):
+        raise ValidationError(f"a region must list each site once, got {sites!r}")
     try:
         return Region.of(sites, n)
     except ValueError as exc:

@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import check_cap
 from .regions import Region
 from .swapcore import CorrelatedSweep, EnsembleSpec, Uncorrelated
 
@@ -88,8 +88,8 @@ class OracleConfig:
             raise ValueError("at least 2 samples are required")
         if self.d < 2 or self.n < 1:
             raise ValueError("need d >= 2 and n >= 1")
-        if self.d**self.n > STATE_DIM_CAP:
-            raise CapExceeded(f"state dimension {self.d}^{self.n} exceeds the cap {STATE_DIM_CAP}")
+        check_cap(f"a {self.n}-site state of local dimension {self.d}", self.d**self.n,
+                  STATE_DIM_CAP, " amplitudes")
 
 
 @dataclass(frozen=True)
@@ -580,8 +580,7 @@ def _forked(ranges: list[tuple[int, int]], run: Callable[[int, int], _T],
 
     context = multiprocessing.get_context("fork")
 
-    def child(send, lo: int, hi: int) -> None:
-        set_threads(1)
+    def child(send, lo: int, hi: int) -> None:  # forked with the parent's one BLAS thread
         try:
             out = True, run(lo, hi)
         except BaseException as exc:  # handed to the parent, which raises it
@@ -698,8 +697,7 @@ def mc_trace_distance(spec: EnsembleSpec, region: Region, k: int,
         raise ValueError("k must be >= 0")
     sites = _region_sites(region, cfg)
     dm = cfg.d**region.size
-    if dm > MATRIX_DIM_CAP:
-        raise CapExceeded(f"reduced dimension {dm} exceeds the eigensolver cap {MATRIX_DIM_CAP}")
+    check_cap("the reduced state's eigensolver", dm, MATRIX_DIM_CAP, " dimensions")
 
     def distances(lo: int, hi: int) -> np.ndarray:
         out = np.empty(hi - lo)
@@ -752,8 +750,8 @@ def mc_design_distance(spec: EnsembleSpec, region: Region, k: int, t: int,
         raise ValueError("need k >= 0 and t >= 1")
     sites = _region_sites(region, cfg)
     dm = cfg.d**region.size
-    if dm**t > MATRIX_DIM_CAP:
-        raise CapExceeded(f"moment dimension {dm}^{t} exceeds the cap {MATRIX_DIM_CAP}")
+    check_cap(f"the t = {t} moment of a {dm}-dimensional region", dm**t, MATRIX_DIM_CAP,
+              " dimensions")
     n_first = (cfg.samples + 1) // 2
     moment_bytes = 16 * sum(dm ** (2 * i) for i in range(2, t + 1))  # the Kronecker powers
 
@@ -811,8 +809,7 @@ def exact_first_moment_map(op: np.ndarray, region: Region, d: int) -> np.ndarray
     dim = d**n
     if op.shape != (dim, dim):
         raise ValueError(f"operator shape {op.shape} does not match {dim}")
-    if dim > MATRIX_DIM_CAP:
-        raise CapExceeded(f"dimension {dim} exceeds the dense-operator cap {MATRIX_DIM_CAP}")
+    check_cap("the dense operator", dim, MATRIX_DIM_CAP, " dimensions")
     if region.is_empty:
         return op.copy()
     dm = d**region.size
@@ -836,8 +833,7 @@ def exact_second_moment_projection(op: np.ndarray, region: Region, d: int) -> np
     dim2 = (d**n) ** 2
     if op.shape != (dim2, dim2):
         raise ValueError(f"operator shape {op.shape} does not match the two-copy dimension {dim2}")
-    if dim2 > MATRIX_DIM_CAP:
-        raise CapExceeded(f"two-copy dimension {dim2} exceeds the cap {MATRIX_DIM_CAP}")
+    check_cap("the two-copy operator", dim2, MATRIX_DIM_CAP, " dimensions")
     if region.is_empty:
         return op.copy()
     # copy-1 site s is pseudo-site n+s, copy-2 site s is pseudo-site s; then rows and columns
@@ -860,8 +856,7 @@ def dense_swap(region: Region, d: int) -> np.ndarray:
     """The two-copy swap operator of a region as a dense permutation matrix."""
     n = region.n
     dn = d**n
-    if dn * dn > MATRIX_DIM_CAP:
-        raise CapExceeded(f"two-copy dimension {dn * dn} exceeds the cap {MATRIX_DIM_CAP}")
+    check_cap("the two-copy swap", dn * dn, MATRIX_DIM_CAP, " dimensions")
     idx = np.arange(dn * dn)
     i, j = idx // dn, idx % dn
     ii, jj = i.copy(), j.copy()
@@ -879,8 +874,7 @@ def dense_swap(region: Region, d: int) -> np.ndarray:
 def first_moment_mixture_matrix(structure, d: int) -> np.ndarray:
     """Superoperator matrix of the weighted first-moment mixture on vectorized operators."""
     dim = d**structure.n
-    if dim * dim > SUPEROP_DIM_CAP:
-        raise CapExceeded(f"superoperator dimension {dim * dim} exceeds the cap {SUPEROP_DIM_CAP}")
+    check_cap("the superoperator", dim * dim, SUPEROP_DIM_CAP, " dimensions")
     weights = structure.weight_vector()
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     basis = np.zeros((dim, dim), dtype=complex)

@@ -98,8 +98,8 @@ def spectral_gap_1d(params: PathParams) -> float:
 
 
 def purity_infinity_1d(params: PathParams) -> float:
-    d, L, l = float(params.d), params.L, params.l
-    return (d ** (L - l) + d**l) / (d**L + 1.0)
+    d, L, l = params.d, params.L, params.l
+    return (d ** (L - l) + d**l) / (d**L + 1)  # integers: no overflow at any d^L
 
 
 def purity_exact(params: PathParams, k: int) -> float:

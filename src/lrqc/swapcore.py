@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, NumericalAmbiguityError
+from .errors import NumericalAmbiguityError, check_cap
 from .regions import Region, in_boundary
 
 GAP_MAX_SITES = 14
@@ -344,13 +344,6 @@ def _step(state, spec: EnsembleSpec, maps: tuple, step_index: int, tol: float):
     return state
 
 
-def _single_state(region: Region, n: int):
-    """The array state of one region's swap with coefficient 1."""
-    if region.n != n:
-        raise ValueError(f"region universe {region.n} does not match n={n}")
-    return np.array([region.bits], dtype=np.uint64), np.ones(1)
-
-
 def _to_state(v: SwapVector, n: int):
     """The array state of a vector: its masks sorted, as the kernel needs them."""
     if v.n != n:
@@ -422,7 +415,7 @@ def _markov_branches(initial: Region, spec: EnsembleSpec):
     """``markov_purity``'s swap vectors, one per region index, after each further draw."""
     n, tol = spec.structure.n, DEFAULT_PRUNE_TOL
     maps = _region_maps(spec.structure.regions, spec.d)
-    base = _single_state(initial, n)
+    base = _to_state(SwapVector.single(initial), n)
 
     def mixture(row):  # the branches weighted by a transition row, in one merge
         used = [(w, b) for w, b in zip(row, branches) if w]
@@ -446,7 +439,7 @@ def purity_trajectory(initial: Region, spec: EnsembleSpec, k_max: int) -> list[f
         raise ValueError("k_max must be >= 0")
     if isinstance(spec.policy, Markov):
         return markov_purity(initial, spec, k_max)
-    state = _single_state(initial, spec.structure.n)
+    state = _to_state(SwapVector.single(initial), spec.structure.n)
     maps = _region_maps(spec.structure.regions, spec.d)
     out = [1.0]
     for j in range(k_max):
@@ -498,7 +491,7 @@ def purity_infinity(initial: Region, structure: LocalStructure, d: int) -> float
     for comp in connected_components(structure).components:
         c = comp.size
         o = (initial & comp).size
-        result *= (float(d) ** (c - o) + float(d) ** o) / (float(d) ** c + 1.0)
+        result *= (d ** (c - o) + d**o) / (d**c + 1)  # integers: no overflow at any d^c
     return result
 
 
@@ -556,10 +549,7 @@ def build_swap_matrix(spec: EnsembleSpec) -> np.ndarray:
     exceed ``MATRIX_BYTE_BUDGET`` is refused before anything is allocated.
     """
     n = spec.structure.n
-    need = _matrix_bytes(spec)
-    if need > MATRIX_BYTE_BUDGET:
-        raise CapExceeded(f"a {n}-site step matrix build needs {need} bytes, "
-                          f"over the budget of {MATRIX_BYTE_BUDGET} bytes")
+    check_cap(f"a {n}-site step matrix build", _matrix_bytes(spec), MATRIX_BYTE_BUDGET, " bytes")
     (src, dst, weight), *later = _step_factors(spec)
     dim = 1 << n
     out = np.bincount(dst * dim + src, weights=weight, minlength=dim * dim).reshape(dim, dim)
@@ -627,8 +617,9 @@ def _gram_root(d: int, power: int) -> np.ndarray:
 def _gram_block(size: int, d: int) -> np.ndarray:
     """s^(x size) P s^-(x size) for the gate map P of a region on all of its ``size`` sites:
     s^-(x size) maps the rows of P and s^(x size) those of the transpose, both symmetric."""
-    gate = build_swap_matrix(EnsembleSpec(
-        LocalStructure(size, (Region((1 << size) - 1, size),)), Uncorrelated(), d))
+    dim = 1 << size
+    src, dst, weight = _factor(Region.full(size), d)
+    gate = np.bincount(dst * dim + src, weights=weight, minlength=dim * dim).reshape(dim, dim)
     return _on_sites(_gram_root(d, 1), _on_sites(_gram_root(d, -1), gate).T).T
 
 
@@ -691,8 +682,7 @@ def spectral_gap_swap(spec: EnsembleSpec) -> float:
     """
     n = spec.structure.n
     acting = [spec.structure.regions[idx] for stage in _stages(spec) for _, idx in stage]
-    if n > GAP_MAX_SITES:  # kept until the solver budgets its own bytes
-        raise CapExceeded(f"the spectral gap is capped at {GAP_MAX_SITES} sites, got {n}")
+    check_cap("the spectral gap", n, GAP_MAX_SITES, " sites")  # until it counts its bytes
     step = _step_factors(spec)
     fixed = connected_components(LocalStructure(n, acting))
     twirls = [_factor(component, spec.d) for component in fixed.components]

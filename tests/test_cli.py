@@ -3,6 +3,8 @@ import json
 import logging
 import math
 import os
+import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -105,7 +107,7 @@ class TestEvolve:
                           run={"initial_region": list(range(0, n, 2)), "k_max": 40,
                                "area_law": True})
         assert run_cli(tmp_path, "evolve", cfg) == 3
-        assert "2^16" in capsys.readouterr().err
+        assert "65536" in capsys.readouterr().err
         assert not out.exists()
 
     def test_area_law_byte_budget_exits_3(self, tmp_path, capsys, monkeypatch):
@@ -117,6 +119,27 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert "needs 1920 bytes" in err and "budget of 320 bytes" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_output_mode_follows_the_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "evolve.csv"
+        old = os.umask(umask)
+        try:
+            assert run_cli(tmp_path, "evolve", base_config(str(out))) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    def test_large_local_dimension_has_a_finite_p_infinity(self, tmp_path):
+        # d^40 = 1e320 overflows a float; the integer ratio is 2e-160
+        n = 40
+        out = tmp_path / "evolve.csv"
+        cfg = base_config(str(out), model={"n": n, "d": 10**8,
+                                           "regions": [[i, i + 1] for i in range(n - 1)]},
+                          run={"initial_region": list(range(20)), "k_max": 2})
+        assert run_cli(tmp_path, "evolve", cfg) == 0
+        _, rows = read_csv(out)
+        assert [float(row[2]) for row in rows] == [2e-160] * 3
 
     def test_byte_identical_rerun(self, tmp_path):
         out = tmp_path / "evolve.csv"
@@ -425,7 +448,6 @@ class TestOracleProcesses:
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_logs_ranges(self, tmp_path, monkeypatch, caplog, count):
-        import re
         from lrqc import oracle
         monkeypatch.setattr("lrqc.oracle._processes", lambda samples, work: count)
         out = tmp_path / "oracle.csv"
@@ -663,6 +685,12 @@ class TestValidation:
         ("evolve", "model", {"n": 5, "d": 2, "regions": [[0, 1], [1, 2], [2, 3], [3, 4]],
                              "family": {"kind": "path", "sizes": [5]}},
          "model.family and model.regions cannot both be given"),
+        ("evolve", "model", {"n": 5, "d": 2, "regions": [[0, 0], [1, 2]]},
+         "a region must list each site once, got [0, 0]"),
+        ("evolve", "run", {"initial_region": [0, 0], "k_max": 3},
+         "a region must list each site once, got [0, 0]"),
+        ("bounds", "run", {"bounds": [{"name": "boundary_probability", "target": [1, 2, 1]}]},
+         "a region must list each site once, got [1, 2, 1]"),
     ])
     def test_sections_must_be_objects(self, tmp_path, capsys, command, section, value, message):
         out = tmp_path / "x.csv"
@@ -782,6 +810,32 @@ class TestValidation:
         assert run_cli(tmp_path, command, cfg) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, model, run, budget, requested, cap", [
+    ("gap", {"n": 15, "d": 2, "family": {"kind": "path", "sizes": [15]}}, {}, None,
+     "15 sites", "14 sites"),
+    ("fixcheck", {"n": 11, "d": 2, "regions": [[0, 1]]}, {}, None, "11 sites", "10 sites"),
+    ("oracle", {"n": 21, "d": 2, "regions": [[0, 1]]},
+     {"initial_region": [0], "k_max": 1, "seed": 1, "samples": 10}, None,
+     "2097152 amplitudes", "1048576 amplitudes"),
+    ("evolve", {"n": 6, "d": 2, "regions": [[i, i + 1] for i in range(5)]},
+     {"initial_region": [0, 2, 4], "k_max": 3, "area_law": True}, 320, "1920 bytes", "320 bytes"),
+    ("evolve", {"n": 17, "d": 2, "regions": [[i, i + 1] for i in range(16)]},
+     {"initial_region": list(range(0, 17, 2)), "k_max": 40, "area_law": True}, None,
+     "89846 regions", "65536 regions"),
+], ids=["gap-sites", "fixcheck-sites", "oracle-amplitudes", "area-law-bytes", "area-law-regions"])
+def test_refusals_name_the_request_and_its_budget(tmp_path, capsys, monkeypatch, command, model,
+                                                  run, budget, requested, cap):
+    if budget is not None:
+        monkeypatch.setattr("lrqc.bounds._ENUMERATION_BYTES", budget)
+    out = tmp_path / "x.csv"
+    cfg = {"model": model, "policy": {"kind": "uncorrelated"}, "run": run,
+           "output": {"path": str(out)}}
+    assert run_cli(tmp_path, command, cfg) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: .+ needs {requested}, over its budget of {cap}\n", err), err
+    assert not out.exists()
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -93,6 +94,17 @@ class TestPurityExact:
         params = PathParams(6, 2, 3)
         assert purity_exact(params, 4000) == pytest.approx(16 / 65, abs=1e-12)
         assert purity_infinity_1d(params) == pytest.approx(16 / 65, abs=1e-15)
+
+    def test_long_time_limit_is_the_float_ratio_while_d_to_the_l_is_exact(self):
+        for d in (2, 3, 4, 5, 6, 7, 10):
+            for L in itertools.takewhile(lambda L: d**L < 2**53, itertools.count(2)):
+                for l in range(L + 1):
+                    want = (float(d) ** (L - l) + float(d) ** l) / (float(d) ** L + 1.0)
+                    assert purity_infinity_1d(PathParams(L, d, l)) == want
+
+    def test_long_time_limit_past_the_float_range(self):
+        # d^L = 1e320 is past the largest float; the ratio is 2e-160
+        assert purity_infinity_1d(PathParams(40, 10**8, 20)) == 2e-160
 
     def test_matches_matrix_power(self):
         params = PathParams(8, 2, 4)

@@ -327,6 +327,22 @@ class TestPurityInfinity:
         got = purity_infinity(Region.of([0, 2], 3), st, 2)
         assert got == pytest.approx((2 + 2) / 5, abs=1e-15)
 
+    def test_integer_ratio_is_the_float_ratio_while_d_to_the_c_is_exact(self):
+        cases = 0
+        for d in (2, 3, 4, 5, 6, 7, 10):
+            for c in itertools.takewhile(lambda c: d**c < 2**53, itertools.count(1)):
+                structure = LocalStructure(c, (Region.full(c),))
+                for o in range(c + 1):
+                    want = (float(d) ** (c - o) + float(d) ** o) / (float(d) ** c + 1.0)
+                    assert purity_infinity(Region.of(range(o), c), structure, d) == want
+                    cases += 1
+        assert cases == 3230
+
+    def test_no_overflow_past_the_float_range(self):
+        # d^c = 1e320 is past the largest float; the ratio is 2e-160
+        structure = LocalStructure(40, (Region.full(40),))
+        assert purity_infinity(Region.of(range(20), 40), structure, 10**8) == 2e-160
+
 
 class TestComplementInvolution:
     def test_empty_maps_to_full(self):
