@@ -101,6 +101,15 @@ def reachable_boundary_column(initial: Region, structure: LocalStructure,
     return out
 
 
+def _or_inf(function, *args) -> float:
+    """function(*args), or inf where that is beyond a float: an upper bound that bounds
+    nothing."""
+    try:
+        return function(*args)
+    except OverflowError:
+        return math.inf
+
+
 def area_law_bound(pX: float, pXtilde: float, d: int, k: int) -> BoundReport:
     """Upper bound (1 - pXtilde + 2 N_d pX)^k on the average purity after k steps.
 
@@ -117,8 +126,8 @@ def area_law_bound(pX: float, pXtilde: float, d: int, k: int) -> BoundReport:
     nd = swap_constant(d)
     ep = entangling_power(d)
     delta = pX - pXtilde
-    value = (1.0 - pXtilde + 2.0 * nd * pX) ** k
-    exp_form = math.exp(-k * (pX * ep - delta / (1.0 - ep)))
+    value = _or_inf(pow, 1.0 - pXtilde + 2.0 * nd * pX, k)
+    exp_form = _or_inf(math.exp, -k * (pX * ep - delta / (1.0 - ep)))
     return BoundReport(value, "upper-bound",
                        {"pX": pX, "pXtilde": pXtilde, "d": d, "k": k,
                         "exp_bound": exp_form})
@@ -178,11 +187,14 @@ def correlated_convergence_bound(gap: float, n: int, epsilon: float) -> BoundRep
         raise ValueError("epsilon must be > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    prefactor = 2.0 ** (n / 2.0)
+    prefactor = _or_inf(pow, 2.0, n / 2.0)
     inputs = {"gap": gap, "n": n, "epsilon": epsilon}
     if gap == 1.0:
         return BoundReport(0.0 if epsilon >= prefactor else 1.0, "upper-bound", inputs)
-    value = max(0.0, math.log(prefactor / epsilon) / math.log(1.0 / (1.0 - gap)))
+    log_ratio = math.log(prefactor / epsilon)
+    if log_ratio == math.inf:  # the ratio is beyond a float, its log is not
+        log_ratio = n / 2.0 * math.log(2.0) - math.log(epsilon)
+    value = max(0.0, log_ratio / math.log(1.0 / (1.0 - gap)))
     return BoundReport(value, "upper-bound", inputs)
 
 
@@ -205,12 +217,22 @@ def t_design_delta(region_size: int, alpha: float, t: int, d: int,
     if d < 2:
         raise ValueError("local dimension must be >= 2")
     complement_size = (1.0 + alpha) * region_size
-    if epsilon is None:
+    default = epsilon is None
+    if default:
         epsilon = float(d) ** -complement_size
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    base = float(d) ** region_size * float(d) ** -complement_size
-    value = math.sqrt(t) * (math.sqrt(base + float(d) ** region_size * epsilon) + math.sqrt(base))
+    scale = _or_inf(pow, float(d), region_size)
+    base = scale * float(d) ** -complement_size
+    value = math.sqrt(t) * (math.sqrt(base + scale * epsilon) + math.sqrt(base))
+    if not math.isfinite(value):  # d^w or d^w eps is beyond a float: the same sum in logs
+        log_base = -alpha * region_size * math.log(d)
+        # log(d^w eps), which is log_base itself for the default eps
+        log_scaled = (log_base if default else -math.inf if epsilon == 0
+                      else region_size * math.log(d) + math.log(epsilon))
+        low, high = sorted((log_base, log_scaled))
+        log_sum = high + math.log1p(math.exp(low - high))
+        value = math.sqrt(t) * (_or_inf(math.exp, log_sum / 2.0) + math.exp(log_base / 2.0))
     return BoundReport(value, "upper-bound",
                        {"region_size": region_size, "alpha": alpha, "t": t, "d": d,
                         "epsilon": epsilon})

@@ -21,18 +21,21 @@ by QR.  So trajectories of different lengths share their common prefix, and a
 sample's values depend only on its own stream, never on the chunk, gate batch
 or reduction sub-batch it falls in.
 
-Processes.  An estimator cuts [0, samples) into contiguous ranges, one per
-usable core when the run's work is large enough (``_processes``).  The calling
-process simulates the first range and children made by ``fork`` the others;
-their per-sample results come back through pipes and are joined in range
-order, so the output does not depend on the process count, except for the
-last bits of the design distance's moment sums, which add per-range partial
-sums.  While the ranges run, every process's OpenBLAS runs one thread, the
-caller's count restored afterwards; where no OpenBLAS thread control is found,
-one process runs every range.  Each range is cut into chunks against its share
-of _CHUNK_BYTES by sample count, _CHUNK_BYTES * (hi - lo) // samples, so the
-shares add up to at most the budget, a range is one chunk when the whole run
-would be, and the simulation of a range never needs the process count.
+Processes.  The purity trajectory and the trace distance cut [0, samples)
+into contiguous ranges, one per usable core when the run's work is large
+enough (``_processes``).  The calling process simulates the first range and
+children made by ``fork`` the others; their per-sample results come back
+through pipes and are joined in range order, so the output does not depend on
+the process count.  Only per-sample values cross a process boundary: the design
+distance, which sums moments over its samples, runs in the calling process.
+While the ranges run, every process's OpenBLAS runs one thread, the caller's
+count restored afterwards; where no OpenBLAS thread control is found, one
+process runs every range.  Each of the two estimators writes one DEBUG line per
+call with its process count, ranges, BLAS control and children's peak RSS.
+Each range is cut into chunks against its share of _CHUNK_BYTES by sample
+count, _CHUNK_BYTES * (hi - lo) // samples, so the shares add up to at most the
+budget, a range is one chunk when the whole run would be, and the simulation of
+a range never needs the process count.
 """
 from __future__ import annotations
 
@@ -724,11 +727,11 @@ def _kron_power_batch(rho: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def _haar_batches(cfg: OracleConfig, lo: int, hi: int) -> Iterator[tuple[np.ndarray, int]]:
-    """(states, first_index) chunks of global Haar states for samples [lo, hi), sample s from
+def _haar_batches(cfg: OracleConfig) -> Iterator[tuple[np.ndarray, int]]:
+    """(states, first_index) chunks of global Haar states for every sample, sample s from
     stream (seed, 1, s)."""
     dim = cfg.d**cfg.n
-    for a, b in _chunks(cfg, 32 * dim, lo, hi):  # the draws, then their states
+    for a, b in _chunks(cfg, 32 * dim, 0, cfg.samples):  # the draws, then their states
         z = np.empty((b - a, 2, dim))
         for rng, row in zip(_streams(cfg.seed, 1, a, b), z):
             rng.standard_normal(out=row)
@@ -743,8 +746,8 @@ def mc_design_distance(spec: EnsembleSpec, region: Region, k: int, t: int,
 
     Both sides are Monte Carlo: the circuit side runs k-step circuits, the
     reference side draws global Haar states as normalized complex Gaussians.
-    Each side's moments are summed per sample range, then over the ranges in
-    order, so with several processes the sums may differ in their last bits.
+    Both sides run in the calling process, with no DEBUG line, and sum their
+    moments over the samples in order: the same bytes at any process count.
     """
     if k < 0 or t < 1:
         raise ValueError("need k >= 0 and t >= 1")
@@ -755,8 +758,9 @@ def mc_design_distance(spec: EnsembleSpec, region: Region, k: int, t: int,
     n_first = (cfg.samples + 1) // 2
     moment_bytes = 16 * sum(dm ** (2 * i) for i in range(2, t + 1))  # the Kronecker powers
 
-    def half_sums(batches) -> list[np.ndarray]:
-        """The t-th moments summed over the samples before n_first and over the rest."""
+    def average(batches) -> tuple[np.ndarray, float]:
+        """Mean t-th moment over all samples, and its half-sample split error from the
+        moments summed over the samples before n_first and over the rest."""
         halves = [np.zeros((dm**t, dm**t), dtype=complex) for _ in range(2)]
         for states, first in batches:
             def accumulate(sub: int, rho: np.ndarray) -> None:
@@ -765,26 +769,12 @@ def mc_design_distance(spec: EnsembleSpec, region: Region, k: int, t: int,
                 halves[0] += mom[:cut].sum(axis=0)
                 halves[1] += mom[cut:].sum(axis=0)
             _reduce(states, sites, cfg.n, cfg.d, accumulate, moment_bytes)
-        return halves
-
-    def both_sides(lo: int, hi: int) -> tuple[list, list]:
-        circuit = half_sums((states, first) for j, states, first
-                            in _simulate(spec, k, cfg, lo, hi) if j == k)
-        return circuit, half_sums(_haar_batches(cfg, lo, hi))
-
-    work = _circuit_work(spec, k, cfg) + cfg.samples * (cfg.d**cfg.n + _STEP_AMPS)
-    (circuit, haar), *rest = _over_ranges(cfg.samples, work, both_sides)
-    for more_circuit, more_haar in rest:
-        for total, part in zip(circuit + haar, more_circuit + more_haar):
-            total += part
-
-    def average(halves: list[np.ndarray]) -> tuple[np.ndarray, float]:
-        """Mean t-th moment over all samples, and its half-sample split error."""
         split = trace_norm(halves[0] / n_first - halves[1] / (cfg.samples - n_first)) / 2.0
         return (halves[0] + halves[1]) / cfg.samples, split
 
-    circ_mean, circ_err = average(circuit)
-    haar_mean, haar_err = average(haar)
+    circ_mean, circ_err = average((states, first) for j, states, first
+                                  in _simulate(spec, k, cfg, 0, cfg.samples) if j == k)
+    haar_mean, haar_err = average(_haar_batches(cfg))
     return DesignDistance(trace_norm(circ_mean - haar_mean), circ_err, haar_err, cfg.samples)
 
 

@@ -120,6 +120,17 @@ class TestEvolve:
         assert "needs 1920 bytes" in err and "budget of 320 bytes" in err
         assert not out.exists()
 
+    def test_area_law_past_the_float_range_of_its_exp_form(self, tmp_path):
+        # from k = 700 the unwritten exponential form exceeds a float
+        n = 8
+        out = tmp_path / "evolve.csv"
+        cfg = base_config(str(out), model={"n": n, "regions": [[i, i + 1] for i in range(n - 1)]},
+                          run={"initial_region": [0, 2, 4, 6], "k_max": 700, "area_law": True})
+        assert run_cli(tmp_path, "evolve", cfg) == 0
+        header, rows = read_csv(out)
+        assert header[-1] == "area_law_bound" and len(rows) == 701
+        assert math.isfinite(float(rows[-1][-1]))
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_output_mode_follows_the_umask(self, tmp_path, umask, mode):
         out = tmp_path / "evolve.csv"
@@ -552,6 +563,27 @@ class TestBoundsCmd:
         assert run_cli(tmp_path, "bounds", cfg) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("request_, value", [
+        # exp_bound is exp(k (0.25 / (1 - e_p) - 0.5 e_p)) with 1 - e_p about 2e-11
+        ({"name": "area_law", "pX": 0.5, "pXtilde": 0.25, "d": 10**11, "k": 3},
+         (0.75 + 2 * 10**11 / (10**22 + 1) * 0.5) ** 3),
+        # 2^1500 is beyond a float, about 2934.404 sweeps
+        ({"name": "correlated_convergence", "gap": 0.3, "n": 3000, "epsilon": 0.001},
+         (1500 * math.log(2) + math.log(1000)) / math.log(1 / 0.7)),
+        # d^40 = 1e320 is beyond a float; delta = sqrt(2) (sqrt(2) + 1) 1e-160, about 3.414e-160
+        ({"name": "t_design", "region_size": 40, "alpha": 1.0, "t": 2, "d": 10**8},
+         math.sqrt(2) * (math.sqrt(2) + 1) * 1e-160),
+    ])
+    def test_past_the_float_range(self, tmp_path, request_, value):
+        out = tmp_path / "bounds.csv"
+        cfg = base_config(str(out))
+        cfg["run"]["bounds"] = [request_]
+        assert run_cli(tmp_path, "bounds", cfg) == 0
+        _, [row] = read_csv(out)
+        assert float(row[1]) == pytest.approx(value, rel=1e-9, abs=0)
+        if request_["name"] == "area_law":  # a bound beyond a float is written as inf
+            assert json.loads(row[3])["exp_bound"] == math.inf
 
     def test_unknown_bound_rejected(self, tmp_path):
         out = tmp_path / "bounds.csv"

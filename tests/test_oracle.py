@@ -16,11 +16,6 @@ from lrqc import (CapExceeded, CorrelatedSweep, DenseState, EnsembleSpec,
                   purity_trajectory, reduced_purity, sample_regions, trace_norm)
 
 
-# mc_design_distance adds per-range moment sums, so its last bits move with the
-# process count: 5.3e-14 relative at most over 99 configurations of up to 2000 samples
-DESIGN_RANGES_REL = 1e-12
-
-
 def force_processes(monkeypatch, count):
     """Run the estimators' sample ranges in this many processes, whatever the work."""
     monkeypatch.setattr("lrqc.oracle._processes", lambda samples, work: count)
@@ -890,16 +885,13 @@ class TestEnginePinnedToReference:
     @pytest.mark.parametrize("processes", [2, 3])
     @pytest.mark.parametrize("t", [1, 2])
     def test_design_distance_across_processes(self, case, monkeypatch, t, processes):
-        """Per-range sums added in range order move the last bits only."""
+        """The design distance runs in the calling process, so a forced process count
+        leaves every field unchanged."""
         spec, cfg = case
         region = Region.of([1], cfg.n)
         want = _reference_design_distance(spec, region, self.k, t, cfg)
         force_processes(monkeypatch, processes)
-        got = mc_design_distance(spec, region, self.k, t, cfg)
-        assert got.samples == want.samples
-        for field in ("value", "circuit_err", "haar_err"):
-            assert getattr(got, field) == pytest.approx(getattr(want, field),
-                                                        rel=DESIGN_RANGES_REL, abs=0)
+        assert mc_design_distance(spec, region, self.k, t, cfg) == want
 
 
 # ---------------------------------------------------------------------------
@@ -1183,6 +1175,21 @@ class TestProcessHygiene:
             mc_purity_trajectory(self.spec, Region.of([0], 4), 3, self.cfg)
         assert multiprocessing.active_children() == []
         assert self.blas_threads() == before
+
+    def test_design_distance_never_forks(self, monkeypatch):
+        import multiprocessing
+        from lrqc import oracle
+        region = Region.of([0, 1], 4)
+        force_processes(monkeypatch, 1)
+        want = mc_design_distance(self.spec, region, 3, 2, self.cfg)
+
+        def refuse(*args):
+            raise AssertionError("the design distance forked")
+        monkeypatch.setattr("lrqc.oracle._forked", refuse)
+        force_processes(monkeypatch, 3)
+        assert oracle._processes(self.cfg.samples, 0) == 3
+        assert mc_design_distance(self.spec, region, 3, 2, self.cfg) == want
+        assert multiprocessing.active_children() == []
 
     def test_ranges_run_with_one_blas_thread(self, monkeypatch):
         """The parent's range and the child's each run with one BLAS thread, whatever the
