@@ -127,7 +127,9 @@ def area_law_bound(pX: float, pXtilde: float, d: int, k: int) -> BoundReport:
     ep = entangling_power(d)
     delta = pX - pXtilde
     value = _or_inf(pow, 1.0 - pXtilde + 2.0 * nd * pX, k)
-    exp_form = _or_inf(math.exp, -k * (pX * ep - delta / (1.0 - ep)))
+    # 1 - e_p rounds to 0.0 from d = 2^54 on; its exact value is 2d/(d^2 + 1)
+    gap = 1.0 - ep or 2 * d / (d * d + 1)
+    exp_form = _or_inf(math.exp, -k * (pX * ep - delta / gap))
     return BoundReport(value, "upper-bound",
                        {"pX": pX, "pXtilde": pXtilde, "d": d, "k": k,
                         "exp_bound": exp_form})

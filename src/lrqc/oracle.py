@@ -17,9 +17,14 @@ gate.  Uncorrelated and Markov steps have one gate, whose region each stream
 picks with one uniform drawn before the Gaussians, a whole chunk's picks made
 at once; a correlated sweep's step is its pass and draws no uniform.  Gates of
 dimension up to _GRAM_SCHMIDT_MAX_DIM = 7 are made by Gram-Schmidt, larger ones
-by QR.  So trajectories of different lengths share their common prefix, and a
-sample's values depend only on its own stream, never on the chunk, gate batch
-or reduction sub-batch it falls in.
+by QR, all of a gate slot's gates of one dimension in one call.  So
+trajectories of different lengths share their common prefix, and a sample's
+values depend only on its own stream, never on the chunk, gate batch or
+reduction sub-batch it falls in.  A purity trajectory measures a sample at
+step 0 and after each step with a gate on a region that meets both the initial
+region and its complement; after any other step the sample carries its
+previous value, which gates inside the region or inside its complement leave
+unchanged in exact arithmetic.
 
 Processes.  The purity trajectory and the trace distance cut [0, samples)
 into contiguous ranges, one per usable core when the run's work is large
@@ -49,7 +54,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .errors import check_cap
-from .regions import Region
+from .regions import Region, in_boundary
 from .swapcore import CorrelatedSweep, EnsembleSpec, Uncorrelated
 
 STATE_DIM_CAP = 1 << 20
@@ -57,7 +62,7 @@ MATRIX_DIM_CAP = 1 << 10
 SUPEROP_DIM_CAP = 1 << 12
 _NORM_TOL = 1e-10
 _CHUNK_BYTES = 1 << 28  # bytes held per batch of samples over all ranges, counted by _chunks
-_GENERATOR_BYTES = 3 << 9  # a per-sample Generator: 793 B at its peak by tracemalloc
+_GENERATOR_BYTES = 3 << 9  # a per-sample Generator: 681 B at its peak by tracemalloc
 _REDUCE_BYTES = 1 << 22  # bytes of factors and products per reduction sub-batch
 _GRAM_SCHMIDT_MAX_DIM = 7  # largest gate made by Gram-Schmidt, not QR: the measured crossover
 # a step's per-sample calls cost about as much as this many amplitude updates: 5-9 us per
@@ -432,9 +437,11 @@ def _seed_words_class() -> type:
             self.words = words
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+            # asked for once: PCG64 copies the words, so no generator holds the chunk's seeds
+            words, self.words = self.words, None
+            if words is None or n_words != len(words) or np.dtype(dtype) != words.dtype:
                 raise ValueError("only the state PCG64 asks for was precomputed")
-            return self.words
+            return words
     return SeedWords
 
 
@@ -466,10 +473,10 @@ def _chunks(cfg: OracleConfig, extra: int, lo: int, hi: int) -> Iterator[tuple[i
     _CHUNK_BYTES by sample count, _CHUNK_BYTES * (hi - lo) // samples, or single samples.
 
     A sample holds its generator, its state with up to four working copies
-    (three while a gate is applied, or the factors and products of a purity
-    reduction) and ``extra`` further bytes.  The shares of ranges that cut the
-    samples add up to at most _CHUNK_BYTES, and a range is one chunk when the
-    whole run would be.
+    (three while a gate is applied, or a gathered copy with the factors and
+    products of a purity reduction) and ``extra`` further bytes.  The shares of
+    ranges that cut the samples add up to at most _CHUNK_BYTES, and a range is
+    one chunk when the whole run would be.
     """
     per_sample = _GENERATOR_BYTES + 5 * 16 * cfg.d**cfg.n + extra
     size = max(1, min(hi - lo, _CHUNK_BYTES * (hi - lo) // cfg.samples // per_sample))
@@ -478,9 +485,10 @@ def _chunks(cfg: OracleConfig, extra: int, lo: int, hi: int) -> Iterator[tuple[i
 
 
 def _simulate(spec: EnsembleSpec, k_max: int, cfg: OracleConfig, lo: int,
-              hi: int) -> Iterator[tuple[int, np.ndarray, int]]:
-    """Run samples [lo, hi) for k_max steps, yielding (j, states, first_index) per chunk and
-    step.
+              hi: int) -> Iterator[tuple[int, np.ndarray, int, np.ndarray | None]]:
+    """Run samples [lo, hi) for k_max steps, yielding (j, states, first_index, picked) per chunk
+    and step, picked being the step's (samples, gates) region indices in gate order, None at
+    step 0.
 
     The yielded batch may be overwritten by the next step.
     """
@@ -494,21 +502,16 @@ def _simulate(spec: EnsembleSpec, k_max: int, cfg: OracleConfig, lo: int,
     pol = spec.policy
     # a sample's Gaussians per step: a sweep's whole pass, or its largest gate
     width = int(sizes[list(pol.order)].sum() if isinstance(pol, CorrelatedSweep) else sizes.max())
-
-    def apply(states: np.ndarray, r: int, z: np.ndarray) -> np.ndarray:
-        """Apply region r's Haar gates, one per row of Gaussians z, to the batch."""
-        gates = _haar_from_gaussians(z.reshape(-1, 2, dims[r], dims[r]))
-        return _apply_gates_batch(states, site_lists[r], gates, n, d)
-
-    # a sample holds its Gaussians, six gate-sized arrays while its Haar gate is made, and its
-    # pick: its uniform, the gathered row of cumulative weights and its comparison, and a few
-    # index words (165 B at path n = 5 by tracemalloc)
-    extra = 8 * width + 6 * 16 * int(dims.max()) ** 2 + 160 + 9 * len(regions)
+    # a sample holds its Gaussians, six gate-sized arrays while its Haar gate is made and its
+    # gate while the slot's regions are applied, its pick: its uniform, the gathered row of
+    # cumulative weights and its comparison, and a few index words (165 B at path n = 5 by
+    # tracemalloc), and the end of its Gaussians and its gate's dimension
+    extra = 8 * width + 7 * 16 * int(dims.max()) ** 2 + 176 + 9 * len(regions)
     for a, b in _chunks(cfg, extra, lo, hi):
         rngs = _streams(cfg.seed, 0, a, b)
         states = np.zeros((b - a, d**n), dtype=complex)
         states[:, 0] = 1.0
-        yield 0, states, a
+        yield 0, states, a, None
         block = np.empty((b - a, width))
         for j, picked in enumerate(_region_steps(spec, k_max, rngs), 1):
             # a slot's gates start at one offset in every sample: a drawn step has one slot,
@@ -516,18 +519,29 @@ def _simulate(spec: EnsembleSpec, k_max: int, cfg: OracleConfig, lo: int,
             first = sizes[picked[0]]
             starts = (first.cumsum() - first).tolist()
             # each stream has drawn its step's region, and now draws that step's Gaussians
-            for rng, row, end in zip(rngs, block, (starts[-1] + sizes[picked[:, -1]]).tolist()):
-                rng.standard_normal(out=row[:end])
+            ends = starts[-1] + sizes[picked[:, -1]]
+            if (ends == width).all():
+                for rng, row in zip(rngs, block):
+                    rng.standard_normal(out=row)
+            else:
+                for rng, row, end in zip(rngs, block, ends.tolist()):
+                    rng.standard_normal(out=row[:end])
             for col, start in zip(picked.T, starts):
-                present = np.unique(col).tolist()
-                for r in present:
-                    z = block[:, start:start + sizes[r]]
-                    if len(present) == 1:
-                        states = apply(states, r, z)  # the whole batch, without a gather
-                    else:
-                        sel = np.flatnonzero(col == r)
-                        states[sel] = apply(states[sel], r, z[sel])
-            yield j, states, a
+                present = np.unique(col)
+                for m in np.unique(dims[present]).tolist():
+                    # one Haar call makes all of the slot's gates of dimension m
+                    of_m = dims[col] == m
+                    z = block[:, start:start + 2 * m * m]
+                    gates = _haar_from_gaussians((z if of_m.all() else z[of_m])
+                                                 .reshape(-1, 2, m, m))
+                    if len(present) == 1:  # the whole batch, without a gather
+                        states = _apply_gates_batch(states, site_lists[present[0]], gates, n, d)
+                        continue
+                    for r in present[dims[present] == m].tolist():
+                        sel = col == r
+                        states[sel] = _apply_gates_batch(states[sel], site_lists[r],
+                                                         gates[sel[of_m]], n, d)
+            yield j, states, a, picked
 
 
 def _circuit_work(spec: EnsembleSpec, k: int, cfg: OracleConfig) -> int:
@@ -668,19 +682,30 @@ def mc_purity_trajectory(spec: EnsembleSpec, initial_region: Region, k_max: int,
                          cfg: OracleConfig) -> list[MomentEstimate]:
     """Monte Carlo average purity of the region after 0..k_max ensemble steps.
 
-    Each sample runs one fresh circuit from the all-zeros product state; the
-    purity is measured after every step, so the whole trajectory costs one
-    pass.
+    Each sample runs one fresh circuit from the all-zeros product state, so the
+    whole trajectory costs one pass.  A sample's purity is measured at step 0
+    and after every step with a gate on a region that meets both the initial
+    region and its complement (``in_boundary``); after any other step it
+    carries the previous value, which a gate inside the region or inside its
+    complement leaves unchanged.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     sites = _region_sites(initial_region, cfg)
+    cross = np.array([in_boundary(r, initial_region) for r in spec.structure.regions])
 
     def purities(lo: int, hi: int) -> np.ndarray:
         out = np.empty((k_max + 1, hi - lo))
-        for j, states, first in _simulate(spec, k_max, cfg, lo, hi):
-            out[j, first - lo:first - lo + states.shape[0]] = _purity_batch(states, sites,
-                                                                            cfg.n, cfg.d)
+        for j, states, first, picked in _simulate(spec, k_max, cfg, lo, hi):
+            at = slice(first - lo, first - lo + states.shape[0])
+            crossed = True if picked is None else cross[picked].any(axis=1)
+            if np.all(crossed):  # step 0, or every sample crossed: the whole batch, no gather
+                out[j, at] = _purity_batch(states, sites, cfg.n, cfg.d)
+                continue
+            now = out[j, at]
+            now[:] = out[j - 1, at]
+            if crossed.any():
+                now[crossed] = _purity_batch(states[crossed], sites, cfg.n, cfg.d)
         return out
     values = np.concatenate(_over_ranges(cfg.samples, _circuit_work(spec, k_max, cfg),
                                          purities), axis=1)
@@ -704,7 +729,7 @@ def mc_trace_distance(spec: EnsembleSpec, region: Region, k: int,
 
     def distances(lo: int, hi: int) -> np.ndarray:
         out = np.empty(hi - lo)
-        for j, states, first in _simulate(spec, k, cfg, lo, hi):
+        for j, states, first, _ in _simulate(spec, k, cfg, lo, hi):
             if j != k:
                 continue
 
@@ -772,7 +797,7 @@ def mc_design_distance(spec: EnsembleSpec, region: Region, k: int, t: int,
         split = trace_norm(halves[0] / n_first - halves[1] / (cfg.samples - n_first)) / 2.0
         return (halves[0] + halves[1]) / cfg.samples, split
 
-    circ_mean, circ_err = average((states, first) for j, states, first
+    circ_mean, circ_err = average((states, first) for j, states, first, _
                                   in _simulate(spec, k, cfg, 0, cfg.samples) if j == k)
     haar_mean, haar_err = average(_haar_batches(cfg))
     return DesignDistance(trace_norm(circ_mean - haar_mean), circ_err, haar_err, cfg.samples)

@@ -585,6 +585,22 @@ class TestBoundsCmd:
         if request_["name"] == "area_law":  # a bound beyond a float is written as inf
             assert json.loads(row[3])["exp_bound"] == math.inf
 
+    def test_area_law_where_one_minus_e_p_rounds_to_zero(self, tmp_path):
+        """From d = 2^54 on, 1 - e_p is 0.0 in floats; the exponential form takes the exact
+        2d/(d^2 + 1) there."""
+        out = tmp_path / "bounds.csv"
+        cfg = base_config(str(out))
+        d = 10**17
+        cfg["run"]["bounds"] = [{"name": "area_law", "pX": 0.5, "pXtilde": 0.5, "d": d, "k": 3},
+                                {"name": "area_law", "pX": 0.5, "pXtilde": 0.25, "d": d, "k": 3}]
+        assert run_cli(tmp_path, "bounds", cfg) == 0
+        _, rows = read_csv(out)
+        assert [float(row[1]) for row in rows] == [
+            pytest.approx((0.5 + 2 * d / (d * d + 1) * 0.5) ** 3, rel=1e-15, abs=0),
+            pytest.approx((0.75 + 2 * d / (d * d + 1) * 0.5) ** 3, rel=1e-15, abs=0)]
+        # exp(-k pX e_p) with e_p = 1.0 in floats, and exp(k (0.25 / 2e-17 - 0.5)) beyond a float
+        assert [json.loads(row[3])["exp_bound"] for row in rows] == [math.exp(-1.5), math.inf]
+
     def test_unknown_bound_rejected(self, tmp_path):
         out = tmp_path / "bounds.csv"
         cfg = base_config(str(out))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lrqc import (CapExceeded, CorrelatedSweep, DenseState, EnsembleSpec,
                   LocalStructure, Markov, OracleConfig, Region, SwapVector,
@@ -287,13 +287,13 @@ class TestSampleRegions:
         monkeypatch.setattr("lrqc.oracle._apply_gates_batch", recorded)
         cfg = OracleConfig(seed=0, samples=samples, d=2, n=4)
         spec = EnsembleSpec(st, policy, 2)
-        steps = [j for j, _, _ in oracle._simulate(spec, 2, cfg, 0, samples)]
+        steps = [j for j, _, _, _ in oracle._simulate(spec, 2, cfg, 0, samples)]
         assert steps == [0, 1, 2]
         assert applied == [(st.regions[i].sites(), samples) for i in want]
         # each process of a two-process run simulates its own range the same way
         for lo, hi in oracle._ranges(samples, 2):
             applied.clear()
-            steps = [j for j, _, _ in oracle._simulate(spec, 2, cfg, lo, hi)]
+            steps = [j for j, _, _, _ in oracle._simulate(spec, 2, cfg, lo, hi)]
             assert steps == [0, 1, 2]
             assert applied == [(st.regions[i].sites(), hi - lo) for i in want]
 
@@ -830,7 +830,7 @@ class TestEnginePinnedToReference:
         _reference_simulate(spec, self.k, cfg,
                             lambda j, states, lo: want.append((j, lo, states.copy())))
         got = [(j, lo, states.copy())
-               for j, states, lo in _simulate(spec, self.k, cfg, 0, cfg.samples)]
+               for j, states, lo, _ in _simulate(spec, self.k, cfg, 0, cfg.samples)]
         assert [(j, lo) for j, lo, _ in got] == [(j, lo) for j, lo, _ in want]
         assert len({lo for _, lo, _ in got}) == 3
         for (_, _, a), (_, _, b) in zip(got, want):
@@ -845,7 +845,7 @@ class TestEnginePinnedToReference:
 
         def per_sample(batches):
             out = np.empty((self.k + 1, cfg.samples, cfg.d**cfg.n), dtype=complex)
-            for j, states, lo in batches:
+            for j, states, lo, _ in batches:
                 out[j, lo:lo + states.shape[0]] = states
             return out
         want = per_sample(_simulate(spec, self.k, cfg, 0, cfg.samples))
@@ -892,6 +892,96 @@ class TestEnginePinnedToReference:
         want = _reference_design_distance(spec, region, self.k, t, cfg)
         force_processes(monkeypatch, processes)
         assert mc_design_distance(spec, region, self.k, t, cfg) == want
+
+
+# ---------------------------------------------------------------------------
+# The purity carried over steps that do not cross the cut
+# ---------------------------------------------------------------------------
+
+@st.composite
+def carry_cases(draw):
+    """(spec, initial region, k, seed): a path or complete model at d = 2 or 3 under each
+    policy, and an initial region that may be empty or the full system."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 4 if d == 2 else 3))
+    structure = draw(st.sampled_from([path_structure, complete_structure]))(n)
+    m = len(structure.regions)
+    k = draw(st.integers(1, 4))
+    weights = st.lists(st.integers(0, 3), min_size=m, max_size=m).map(
+        lambda w: tuple(x / sum(w) for x in w) if any(w) else (1 / m,) * m)
+    policy = draw(st.sampled_from(["uncorrelated", "step-weights", "markov", "sweep"]))
+    if policy == "uncorrelated":
+        policy = Uncorrelated()
+    elif policy == "step-weights":
+        policy = Uncorrelated(tuple(draw(weights) for _ in range(k)))
+    elif policy == "markov":
+        policy = Markov(draw(weights), tuple(draw(weights) for _ in range(m)))
+    else:
+        policy = CorrelatedSweep(tuple(draw(st.permutations(range(m)))))
+    region = Region.of(sorted(draw(st.sets(st.integers(0, n - 1)))), n)
+    return EnsembleSpec(structure, policy, d), region, k, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPurityCarry:
+    """A sample's purity is measured after a step only when a gate of the step lies on a
+    region that meets both the initial region and its complement; otherwise it is carried."""
+
+    samples = 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(carry_cases())
+    # a sweep whose pass has regions on both sides of the cut and one across it
+    @example((EnsembleSpec(complete_structure(4), CorrelatedSweep((5, 0, 3, 1, 4, 2)), 2),
+              Region.of([0, 1], 4), 3, 7))
+    @example((EnsembleSpec(path_structure(3), CorrelatedSweep((1, 0)), 3), Region.of([0], 3),
+              2, 8))
+    def test_carry(self, case):
+        from lrqc import in_boundary, oracle
+        spec, region, k, seed = case
+        n, d = spec.structure.n, spec.d
+        cfg = OracleConfig(seed=seed, samples=self.samples, d=d, n=n)
+        # every sample's purity recomputed from the states after every step, and whether
+        # each sample's step had a region on the cut
+        cross = np.array([in_boundary(r, region) for r in spec.structure.regions])
+        recomputed = np.empty((k + 1, self.samples))
+        crossed = np.ones((k + 1, self.samples), dtype=bool)
+        for j, states, lo, picked in oracle._simulate(spec, k, cfg, 0, self.samples):
+            recomputed[j, lo:lo + len(states)] = oracle._purity_batch(states, region.sites(),
+                                                                      n, d)
+            if picked is not None:
+                crossed[j, lo:lo + len(states)] = cross[picked].any(axis=1)
+        per_process = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for processes in (1, 2, 3):
+                force_processes(mp, processes)
+                per_process[processes] = mc_purity_trajectory(spec, region, k, cfg)
+        assert per_process[2] == per_process[1]
+        assert per_process[3] == per_process[1]
+
+        rows, carried = [], []
+        real_purity, real_estimate = oracle._purity_batch, oracle._estimate
+
+        def counted(states, sites, n, d):
+            rows.append(states.shape[0])
+            return real_purity(states, sites, n, d)
+
+        def kept(values):
+            carried.append(values.copy())
+            return real_estimate(values)
+        with pytest.MonkeyPatch.context() as mp:
+            force_processes(mp, 1)
+            mp.setattr("lrqc.oracle._purity_batch", counted)
+            mp.setattr("lrqc.oracle._estimate", kept)
+            assert mc_purity_trajectory(spec, region, k, cfg) == per_process[1]
+        carried = np.array(carried)
+        assert np.allclose(carried, recomputed, rtol=1e-12, atol=0)
+        assert np.array_equal(carried[crossed], recomputed[crossed])
+        for j in range(1, k + 1):
+            assert np.array_equal(carried[j, ~crossed[j]], carried[j - 1, ~crossed[j]])
+        # one reduction per step with a crossing sample, of exactly those samples
+        assert rows == [int(c.sum()) for c in crossed if c.any()]
+        if region.is_empty or region.size == n:  # no region meets both sides
+            assert rows == [self.samples]
 
 
 # ---------------------------------------------------------------------------
@@ -1051,7 +1141,7 @@ class TestChunkBudget:
         out = np.empty((k + 1, hi - lo))
         tracemalloc.start()
         try:
-            for j, states, first in oracle._simulate(spec, k, cfg, lo, hi):
+            for j, states, first, _ in oracle._simulate(spec, k, cfg, lo, hi):
                 out[j, first - lo:first - lo + states.shape[0]] = oracle._purity_batch(
                     states, region.sites(), n, 2)
             _, peak = tracemalloc.get_traced_memory()
