@@ -165,10 +165,7 @@ def _cut_position(cfg: ExperimentConfig, length: int) -> int:
 
 def cmd_path1d(cfg: ExperimentConfig) -> ResultTable:
     length, d = model_shape(cfg.model)
-    try:
-        params = PathParams(length, d, _cut_position(cfg, length))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    params = PathParams(length, d, _cut_position(cfg, length))
     k_max = run_int(cfg, "k_max")
     if k_max < 0:
         raise ValidationError("run.k_max must be >= 0")
@@ -270,6 +267,9 @@ def _bound_row(request: Any, cfg: ExperimentConfig) -> tuple[str, BoundReport]:
         raise ValidationError(f"unknown bound request {name!r}")
     at_target = name == "area_law" and "target" in request
     function, required, optional = _AREA_LAW_AT_TARGET if at_target else _BOUNDS[name]
+    for key in required:
+        if key not in request:
+            raise ValidationError(f"bound request is missing parameter {key!r}")
     args = {key: request.pop(key) for key in required}
     args.update((key, request.pop(key)) for key in optional if key in request)
     if request:
@@ -288,17 +288,12 @@ def cmd_bounds(cfg: ExperimentConfig) -> ResultTable:
     if not isinstance(requests, list) or not requests:
         raise ValidationError("the bounds command needs a nonempty run.bounds list")
     names, values, kinds, inputs = [], [], [], []
-    try:
-        for request in requests:
-            name, report = _bound_row(request, cfg)
-            names.append(name)
-            values.append(report.value)
-            kinds.append(report.kind)
-            inputs.append(json.dumps(report.inputs, sort_keys=True, separators=(',', ':')))
-    except KeyError as exc:
-        raise ValidationError(f"bound request is missing parameter {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    for request in requests:
+        name, report = _bound_row(request, cfg)
+        names.append(name)
+        values.append(report.value)
+        kinds.append(report.kind)
+        inputs.append(json.dumps(report.inputs, sort_keys=True, separators=(',', ':')))
     return ResultTable({"name": names, "value": values, "kind": kinds, "inputs": inputs})
 
 
@@ -405,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError, OSError) as exc:  # OSError: output not writable
+    except (ValueError, OSError) as exc:  # OSError: output not writable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

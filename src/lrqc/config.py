@@ -15,7 +15,7 @@ from .swapcore import (CorrelatedSweep, EnsembleSpec, LocalStructure, Markov,
 
 
 class ValidationError(ValueError):
-    """A configuration document violates the schema or a model invariant."""
+    """A configuration document violates the schema; a model's own checks raise ValueError."""
 
 
 _SECTIONS = {"model", "policy", "run", "output"}
@@ -110,10 +110,7 @@ def region_from_sites(sites: Any, n: int) -> Region:
         raise ValidationError(f"a region must be a list of site indices, got {sites!r}")
     if len(set(sites)) != len(sites):
         raise ValidationError(f"a region must list each site once, got {sites!r}")
-    try:
-        return Region.of(sites, n)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return Region.of(sites, n)
 
 
 def structure_from_model(model: dict[str, Any]) -> LocalStructure:
@@ -122,11 +119,8 @@ def structure_from_model(model: dict[str, Any]) -> LocalStructure:
     if not isinstance(regions, list) or not regions:
         raise ValidationError("model.regions must be a nonempty list of site lists")
     weights = model.get("weights")
-    try:
-        return LocalStructure(n, tuple(region_from_sites(r, n) for r in regions),
-                              None if weights is None else _numbers(weights, "model.weights"))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return LocalStructure(n, tuple(region_from_sites(r, n) for r in regions),
+                          None if weights is None else _numbers(weights, "model.weights"))
 
 
 def family_structures(model: dict[str, Any]) -> list[tuple[int, LocalStructure]]:
@@ -141,10 +135,7 @@ def family_structures(model: dict[str, Any]) -> list[tuple[int, LocalStructure]]
     builders = {"path": path_structure, "complete": complete_structure}
     if not isinstance(kind, str) or kind not in builders:
         raise ValidationError(f"unknown family kind {kind!r}; expected one of {sorted(builders)}")
-    try:
-        return [(n, builders[kind](n)) for n in sizes]
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return [(n, builders[kind](n)) for n in sizes]
 
 
 def resolve_order(order: Any, num_regions: int) -> tuple[int, ...]:
@@ -190,10 +181,7 @@ def spec_from_config(cfg: ExperimentConfig, structure: LocalStructure | None = N
     if structure is None:
         structure = structure_from_model(cfg.model)
     _, d = model_shape(cfg.model)
-    try:
-        return EnsembleSpec(structure, policy_from_config(cfg.policy, len(structure.regions)), d)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(str(exc)) from exc
+    return EnsembleSpec(structure, policy_from_config(cfg.policy, len(structure.regions)), d)
 
 
 def run_int(cfg: ExperimentConfig, key: str, default: int | None = None) -> int:

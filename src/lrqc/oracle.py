@@ -26,17 +26,17 @@ region and its complement; after any other step the sample carries its
 previous value, which gates inside the region or inside its complement leave
 unchanged in exact arithmetic.
 
-Processes.  The purity trajectory and the trace distance cut [0, samples)
-into contiguous ranges, one per usable core when the run's work is large
-enough (``_processes``).  The calling process simulates the first range and
-children made by ``fork`` the others; their per-sample results come back
-through pipes and are joined in range order, so the output does not depend on
-the process count.  Only per-sample values cross a process boundary: the design
-distance, which sums moments over its samples, runs in the calling process.
-While the ranges run, every process's OpenBLAS runs one thread, the caller's
-count restored afterwards; where no OpenBLAS thread control is found, one
-process runs every range.  Each of the two estimators writes one DEBUG line per
-call with its process count, ranges, BLAS control and children's peak RSS.
+Processes.  The purity trajectory, the one estimator the ``oracle`` command
+runs, cuts [0, samples) into contiguous ranges, one per usable core when the
+run's work is large enough (``_processes``).  The calling process simulates the
+first range and children made by ``fork`` the others; their per-sample results
+come back through pipes and are joined in range order, so the output does not
+depend on the process count.  The trace and design distances run in the
+calling process, which gives the same bytes at any process count.  While the
+ranges run, every process's OpenBLAS runs one thread, the caller's count
+restored afterwards; where no OpenBLAS thread control is found, one process
+runs every range.  The purity trajectory writes one DEBUG line per call with
+its process count, ranges, BLAS control and children's peak RSS.
 Each range is cut into chunks against its share of _CHUNK_BYTES by sample
 count, _CHUNK_BYTES * (hi - lo) // samples, so the shares add up to at most the
 budget, a range is one chunk when the whole run would be, and the simulation of
@@ -49,7 +49,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,7 +73,6 @@ _STEP_AMPS = 300
 _FORK_WORK = 1 << 22
 
 _log = logging.getLogger("lrqc")
-_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +588,8 @@ def _blas_control():
     return None
 
 
-def _forked(ranges: list[tuple[int, int]], run: Callable[[int, int], _T],
-            get_threads, set_threads) -> list[_T]:
+def _forked(ranges: list[tuple[int, int]], run: Callable[[int, int], np.ndarray],
+            get_threads, set_threads) -> list[np.ndarray]:
     """run(lo, hi) for each range, the first here and the others in forked children, each
     with one BLAS thread; every child is joined before this returns."""
     import multiprocessing
@@ -637,7 +636,8 @@ def _forked(ranges: list[tuple[int, int]], run: Callable[[int, int], _T],
     return results
 
 
-def _over_ranges(samples: int, work: int, run: Callable[[int, int], _T]) -> list[_T]:
+def _over_ranges(samples: int, work: int,
+                 run: Callable[[int, int], np.ndarray]) -> list[np.ndarray]:
     """run(lo, hi) on contiguous ranges that cut [0, samples), in range order.
 
     The calling process runs the first range and forked children the others, as many
@@ -720,27 +720,24 @@ def mc_average_purity(spec: EnsembleSpec, initial_region: Region, k: int,
 
 def mc_trace_distance(spec: EnsembleSpec, region: Region, k: int,
                       cfg: OracleConfig) -> MomentEstimate:
-    """Average trace-norm distance of the region's reduced state from maximally mixed."""
+    """Average trace-norm distance of the region's reduced state from maximally mixed, run
+    in the calling process: a sample's distance depends only on its own stream."""
     if k < 0:
         raise ValueError("k must be >= 0")
     sites = _region_sites(region, cfg)
     dm = cfg.d**region.size
     check_cap("the reduced state's eigensolver", dm, MATRIX_DIM_CAP, " dimensions")
+    out = np.empty(cfg.samples)
+    for j, states, first, _ in _simulate(spec, k, cfg, 0, cfg.samples):
+        if j != k:
+            continue
 
-    def distances(lo: int, hi: int) -> np.ndarray:
-        out = np.empty(hi - lo)
-        for j, states, first, _ in _simulate(spec, k, cfg, lo, hi):
-            if j != k:
-                continue
-
-            def distance(sub: int, rho: np.ndarray) -> None:
-                rho -= np.eye(dm) / dm
-                at = first - lo + sub
-                out[at:at + rho.shape[0]] = np.abs(np.linalg.eigvalsh(rho)).sum(axis=1)
-            _reduce(states, sites, cfg.n, cfg.d, distance, 16 * dm)  # eigenvalues, their moduli
-        return out
-    return _estimate(np.concatenate(_over_ranges(cfg.samples, _circuit_work(spec, k, cfg),
-                                                 distances)))
+        def distance(sub: int, rho: np.ndarray) -> None:
+            rho -= np.eye(dm) / dm
+            at = first + sub
+            out[at:at + rho.shape[0]] = np.abs(np.linalg.eigvalsh(rho)).sum(axis=1)
+        _reduce(states, sites, cfg.n, cfg.d, distance, 16 * dm)  # eigenvalues, their moduli
+    return _estimate(out)
 
 
 def _kron_power_batch(rho: np.ndarray, t: int) -> np.ndarray:

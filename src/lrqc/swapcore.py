@@ -704,8 +704,8 @@ def spectral_gap_swap(spec: EnsembleSpec) -> float:
             grown = np.empty((rows, w.size))
             grown[:i] = basis
             basis, tri = grown, np.pad(tri, (0, rows - i))
-        if i:  # the last norm, below the diagonal and above it
-            tri[i, i - 1] = tri[i - 1, i] = norm
+        if i:  # the last norm below the diagonal, the one triangle eigh reads
+            tri[i, i - 1] = norm
         basis[i] = w / np.linalg.norm(w)
         w = normal_map(basis[i])
         tri[i, i] = basis[i] @ w

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lrqc
-from lrqc import (EnsembleSpec, LocalStructure, PathParams, Region, Uncorrelated, __version__,
-                  build_swap_matrix, complete_structure, fixed_space_dimension, spectral_gap_1d)
+from lrqc import (CorrelatedSweep, EnsembleSpec, LocalStructure, PathParams, Region,
+                  Uncorrelated, __version__, build_swap_matrix, complete_structure,
+                  fixed_space_dimension, spectral_gap_1d, spectral_gap_swap)
 from lrqc.cli import COMMANDS, _fixcheck_rows, main, read_metadata_config
 
 
@@ -160,9 +161,10 @@ class TestEvolve:
         assert run_cli(tmp_path, "evolve", cfg) == 0
         assert out.read_bytes() == first
 
-    def test_config_round_trip(self, tmp_path):
-        out = tmp_path / "evolve.csv"
-        cfg = base_config(str(out))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_config_round_trip(self, tmp_path, fmt):
+        out = tmp_path / f"evolve.{fmt}"
+        cfg = base_config(str(out), output={"format": fmt})
         assert run_cli(tmp_path, "evolve", cfg) == 0
         assert read_metadata_config(str(out)) == cfg
 
@@ -259,6 +261,20 @@ class TestGap:
         assert run_cli(tmp_path, "gap", cfg) == 0
         _, rows = read_csv(out)
         assert all(row[1] == "sweep" and row[2] == "expanding" for row in rows)
+
+    @pytest.mark.parametrize("order, permutation, label", [
+        ("reversed", (3, 2, 1, 0), "reversed"),
+        ([2, 0, 3, 1], (2, 0, 3, 1), "2,0,3,1"),
+    ], ids=["reversed", "explicit"])
+    def test_sweep_orders(self, tmp_path, order, permutation, label):
+        out = tmp_path / "gap.csv"
+        cfg = base_config(str(out), policy={"kind": "sweep", "order": order})
+        assert run_cli(tmp_path, "gap", cfg) == 0
+        _, [row] = read_csv(out)
+        structure = LocalStructure(5, tuple(Region.of(r, 5) for r in cfg["model"]["regions"]))
+        assert row[:3] == ["5", "sweep", label]
+        assert float(row[3]) == spectral_gap_swap(
+            EnsembleSpec(structure, CorrelatedSweep(permutation), 2))
 
     def test_markov_rejected(self, tmp_path):
         out = tmp_path / "gap.csv"
@@ -827,8 +843,23 @@ class TestValidation:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.parent.exists()
 
-    def test_missing_config_file(self, tmp_path, capsys):
-        assert main(["evolve", "--config", str(tmp_path / "missing.json")]) == 2
+    @pytest.mark.parametrize("text, message", [(None, "cannot read config {}: "),
+                                               ('{"model": ', "config {} is not valid JSON: ")],
+                             ids=["missing", "invalid-json"])
+    def test_config_that_cannot_be_loaded(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["evolve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: " + message.format(path))
+
+    def test_out_naming_a_directory_leaves_no_temporary_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert run_cli(tmp_path, "evolve", base_config(str(taken))) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "taken"]
+        assert os.listdir(taken) == []
 
     @pytest.mark.parametrize("path", [5, ["x.csv"]])
     def test_output_path_must_be_a_string(self, tmp_path, capsys, monkeypatch, path):
@@ -857,6 +888,49 @@ class TestValidation:
             del cfg["model"]["regions"]
         assert run_cli(tmp_path, command, cfg) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, changes, message", [
+        ("evolve", {"model": {"regions": [[0, 1], [1, 5]]}}, "site 5 outside universe of 5 sites"),
+        ("evolve", {"run": {"initial_region": [0, 7]}}, "site 7 outside universe of 5 sites"),
+        ("bounds", {"run": {"bounds": [{"name": "boundary_probability", "target": [9]}]}},
+         "site 9 outside universe of 5 sites"),
+        ("evolve", {"model": {"weights": [0.4, 0.2, 0.2, 0.1]}}, "weights sums to 0.9, not 1"),
+        ("gap", {"model": {"family": {"kind": "path", "sizes": [1]}}},
+         "a path needs at least 2 sites"),
+        ("gap", {"policy": {"kind": "sweep", "order": [2, 0, 2, 1]}},
+         "order (2, 0, 2, 1) is not a permutation of 0..3"),
+        ("evolve", {"policy": {"kind": "markov", "initial": [0.25] * 4,
+                               "matrix": [[0.25] * 4] * 3}},
+         "transition matrix must have one row per region"),
+        ("evolve", {"policy": {"kind": "uncorrelated", "step_weights": [[0.5, 0.5]]}},
+         "per-step weights has length 2, expected 4"),
+        ("evolve", {"model": {"d": 1}}, "local dimension must be >= 2, got 1"),
+        ("path1d", {"run": {"cut": 9}}, "run.cut must be in [0, 5]"),
+        ("path1d", {"model": {"n": 1}, "run": {"cut": 0}}, "chain length must be >= 2"),
+        ("bounds", {"run": {"bounds": [{"name": "area_law", "pX": 0.5, "d": 2, "k": 3}]}},
+         "bound request is missing parameter 'pXtilde'"),
+        ("bounds", {"run": {"bounds": [{"name": "t_design", "d": 2}]}},
+         "bound request is missing parameter 'region_size'"),
+        ("bounds", {"run": {"bounds": [{"name": "area_law", "pX": 0.25, "pXtilde": 0.5,
+                                        "d": 2, "k": 3}]}},
+         "need 0 <= pXtilde <= pX <= 1, got (0.25, 0.5)"),
+        ("oracle", {"run": {"samples": 1}}, "at least 2 samples are required"),
+    ], ids=["region-site", "initial-site", "target-site", "weights-sum", "family-size",
+            "order-repeat", "markov-rows", "step-weights-length", "local-dimension",
+            "path1d-cut", "path1d-length", "missing-pXtilde", "missing-region-size",
+            "pX-below-pXtilde", "one-sample"])
+    def test_model_errors_reach_main_as_raised(self, tmp_path, capsys, command, changes,
+                                                message):
+        """A model's ValueError, or a schema refusal beside it, prints on one line and exits 2."""
+        out = tmp_path / "x.csv"
+        cfg = base_config(str(out))
+        for section, change in changes.items():
+            cfg[section].update(change)
+        if "family" in cfg["model"]:
+            del cfg["model"]["regions"]
+        assert run_cli(tmp_path, command, cfg) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

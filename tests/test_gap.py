@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from lrqc import (CapExceeded, CorrelatedSweep, EnsembleSpec, LocalStructure, Region,
                   Uncorrelated, build_swap_matrix, complete_structure, connected_components,
                   fixed_space_dimension, path_structure, spectral_gap_swap)
+from lrqc import swapcore
 from lrqc.swapcore import (MATRIX_BYTE_BUDGET, RANK_TOL, _gram_root, _matrix_bytes, _on_sites,
                            _site_maps, gram_half)
 
@@ -92,6 +93,8 @@ def _spec(n, regions, weights=None, policy=Uncorrelated(), d=2):
 @example(_spec(7, [[0, 1, 2], [2, 3], [5, 6]], policy=CorrelatedSweep((2, 0, 1)), d=3))
 @example(_spec(5, [[0], [3]]))  # nothing straddled: the whole space is fixed
 @example(_spec(6, [[0, 1], [1, 2], [3, 4], [4, 5]], policy=CorrelatedSweep((3, 1, 0, 2))))
+@example(_spec(8, [[i, i + 1] for i in range(7)]))  # the Lanczos basis grows past 32 vectors
+@example(_spec(9, [[i, i + 1] for i in range(8)]))
 def test_gap_matches_dense_reference(spec):
     matrix = build_swap_matrix(spec)
     gap, (iterations, residual, used, predicted) = logged_gap(spec)
@@ -139,6 +142,22 @@ class TestGateAdjointIdentity:
                              for o in (order, order[::-1]))
         gram = _gram(spec.structure.n, spec.d)
         assert np.abs(gram @ forward - backward.T @ gram).max() <= 1e-14
+
+
+@pytest.mark.parametrize("spec", [_spec(9, [[i, i + 1] for i in range(8)]),
+                                  _spec(8, [[i, i + 1] for i in range(7)], d=3)],
+                         ids=["path-9", "path-8-d3"])
+def test_gap_independent_of_the_first_basis_allocation(spec, monkeypatch):
+    """The default basis grows past its first allocation; one first allocated for one or
+    three vectors grows by doubling at other iterations, and one for every vector never
+    grows, all to the same gap in as many iterations."""
+    gap, (iterations, *_) = logged_gap(spec)
+    assert iterations > swapcore._LANCZOS_ROWS
+    for rows in (1, 3, 1 << spec.structure.n):
+        monkeypatch.setattr(swapcore, "_LANCZOS_ROWS", rows)
+        grown, (grown_iterations, *_) = logged_gap(spec)
+        assert grown == pytest.approx(gap, rel=1e-12, abs=0)
+        assert grown_iterations == iterations
 
 
 def test_gap_logs_nothing_by_default(capsys):

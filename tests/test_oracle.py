@@ -1266,6 +1266,29 @@ class TestProcessHygiene:
         assert multiprocessing.active_children() == []
         assert self.blas_threads() == before
 
+    def test_child_that_dies_is_named(self, monkeypatch):
+        """A child that exits without sending its result is reported with its range and exit
+        code, and is joined, with BLAS threads restored."""
+        import multiprocessing
+        from lrqc import oracle
+        if oracle._blas_control() is None:
+            pytest.skip("no OpenBLAS thread control, so nothing forks")
+        parent, real = os.getpid(), oracle._purity_batch
+
+        def dying(states, sites, n, d):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(states, sites, n, d)
+        monkeypatch.setattr("lrqc.oracle._purity_batch", dying)
+        before = self.blas_threads()
+        force_processes(monkeypatch, 2)
+        with pytest.raises(RuntimeError) as info:
+            mc_purity_trajectory(self.spec, Region.of([0], 4), 3, self.cfg)
+        assert str(info.value) == ("the process simulating samples [20, 40) ended without a "
+                                   "result, exit code 3")
+        assert multiprocessing.active_children() == []
+        assert self.blas_threads() == before
+
     def test_design_distance_never_forks(self, monkeypatch):
         import multiprocessing
         from lrqc import oracle
