@@ -6,6 +6,7 @@ tests assert the correct side.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -29,11 +30,18 @@ class BoundReport:
     inputs: dict[str, Any] = field(default_factory=dict)
 
 
-def swap_constant(d: int) -> float:
-    """Branch weight N_d = d / (d^2 + 1) of an edge gate hitting a cut."""
+def _check_dimension(d: int) -> None:
+    """Refuse a local dimension below 2, or one beyond a float, which the bounds take d as."""
     if d < 2:
         raise ValueError("local dimension must be >= 2")
-    return d / (d * d + 1.0)
+    if d > sys.float_info.max:
+        raise ValueError(f"local dimension must be at most {sys.float_info.max:g}")
+
+
+def swap_constant(d: int) -> float:
+    """Branch weight N_d = d / (d^2 + 1) of an edge gate hitting a cut."""
+    _check_dimension(d)
+    return d / (d * d + 1)
 
 
 def entangling_power(d: int) -> float:
@@ -41,9 +49,8 @@ def entangling_power(d: int) -> float:
 
     Equals 1 - 2 N_d and controls decay rates and spectral gaps.
     """
-    if d < 2:
-        raise ValueError("local dimension must be >= 2")
-    return (d - 1.0) ** 2 / (d * d + 1.0)
+    _check_dimension(d)
+    return (d - 1) ** 2 / (d * d + 1)
 
 
 def boundary_probability(target: Region, structure: LocalStructure) -> float:
@@ -154,7 +161,8 @@ def first_moment_convergence_bound(omega_norm: float, a_norm: float, epsilon: fl
               "q_min": q_min, "num_regions": num_regions}
     if q_min == 1.0:
         return BoundReport(0.0 if numerator <= 0 else 1.0, "upper-bound", inputs)
-    value = max(0.0, numerator / math.log(1.0 / (1.0 - q_min)))
+    # the log is 0.0 in floats below q_min of about 1.1e-16, where -log1p(-q_min) is not
+    value = max(0.0, numerator / (math.log(1.0 / (1.0 - q_min)) or -math.log1p(-q_min)))
     return BoundReport(value, "upper-bound", inputs)
 
 
@@ -196,7 +204,7 @@ def correlated_convergence_bound(gap: float, n: int, epsilon: float) -> BoundRep
     log_ratio = math.log(prefactor / epsilon)
     if log_ratio == math.inf:  # the ratio is beyond a float, its log is not
         log_ratio = n / 2.0 * math.log(2.0) - math.log(epsilon)
-    value = max(0.0, log_ratio / math.log(1.0 / (1.0 - gap)))
+    value = max(0.0, log_ratio / (math.log(1.0 / (1.0 - gap)) or -math.log1p(-gap)))
     return BoundReport(value, "upper-bound", inputs)
 
 
@@ -216,8 +224,7 @@ def t_design_delta(region_size: int, alpha: float, t: int, d: int,
         raise ValueError("alpha must be > 0")
     if t < 1:
         raise ValueError("t must be >= 1")
-    if d < 2:
-        raise ValueError("local dimension must be >= 2")
+    _check_dimension(d)
     complement_size = (1.0 + alpha) * region_size
     default = epsilon is None
     if default:

@@ -280,6 +280,8 @@ def _bound_row(request: Any, cfg: ExperimentConfig) -> tuple[str, BoundReport]:
                                 not isinstance(value, int if integer else (int, float))):
             raise ValidationError(f"bound request {name!r}: {key} must be "
                                   f"{'an integer' if integer else 'a number'}, got {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValidationError(f"bound request {name!r}: {key} is an integer beyond a float")
     return name, function(cfg, *(args.get(key) for key in required + optional))
 
 

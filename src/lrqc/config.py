@@ -84,11 +84,15 @@ def _is_int(value: Any) -> bool:
 
 
 def _numbers(value: Any, key: str) -> tuple:
-    """A list of JSON numbers as a tuple; true, false, strings and the rest name ``key``."""
+    """A list of JSON numbers as a tuple of floats.  True, false, strings and other values,
+    or an integer beyond a float, raise an error naming ``key``."""
     if not isinstance(value, list) or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
         raise ValidationError(f"{key} must be a list of numbers, got {value!r}")
-    return tuple(value)
+    try:
+        return tuple(float(x) for x in value)
+    except OverflowError:
+        raise ValidationError(f"{key} has an integer beyond a float") from None
 
 
 def _require(section: dict[str, Any], key: str, what: str) -> Any:

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import check_cap
 from .regions import Region, in_boundary
-from .swapcore import CorrelatedSweep, EnsembleSpec, Uncorrelated
+from .swapcore import CorrelatedSweep, EnsembleSpec, Uncorrelated, gate_order
 
 STATE_DIM_CAP = 1 << 20
 MATRIX_DIM_CAP = 1 << 10
@@ -319,16 +319,17 @@ def _region_steps(spec: EnsembleSpec, k: int, streams: Sequence) -> Iterator[np.
     gate order.
 
     A drawn step takes one uniform u from each stream and picks every stream's region at once
-    from a table of cumulative weights: one row per uncorrelated step (a single row when the
-    steps share the model weights), or the Markov initial row and then the row of the
+    from a float table of cumulative weights: one row per uncorrelated step (a single row when
+    the steps share the model weights), or the Markov initial row and then the row of the
     previous region.  A row is +inf after its first entry equal to its total, so the pick
     min(#entries <= u, that entry's index) never lands on a trailing region of weight zero.
-    A sweep draws no uniform and its step is its pass reversed: order[0]'s map acts on the
-    swap first, so its gate is applied last.
+    A sweep draws no uniform and its step is its ``gate_order``, the reverse of the order
+    ``_stages`` runs its maps on the swap.
     """
     pol = spec.policy
     if isinstance(pol, CorrelatedSweep):
-        step = np.broadcast_to(pol.order[::-1], (len(streams), len(pol.order)))
+        gates = gate_order(spec)
+        step = np.broadcast_to(gates, (len(streams), len(gates)))
         for _ in range(k):
             yield step
         return
@@ -341,7 +342,7 @@ def _region_steps(spec: EnsembleSpec, k: int, streams: Sequence) -> Iterator[np.
         rows = [spec.step_weights(j) for j in range(k)]
     if not rows:  # an uncorrelated circuit of no steps
         return
-    cum = np.cumsum(rows, axis=1)
+    cum = np.cumsum(rows, axis=1, dtype=float)
     last = (cum == cum[:, -1:]).argmax(axis=1)
     cum[np.arange(cum.shape[1]) > last[:, None]] = np.inf
     row = np.zeros(len(streams), dtype=np.intp)
@@ -498,9 +499,8 @@ def _simulate(spec: EnsembleSpec, k_max: int, cfg: OracleConfig, lo: int,
     site_lists = [r.sites() for r in regions]
     dims = np.array([d**r.size for r in regions])
     sizes = 2 * dims * dims  # Gaussians per gate
-    pol = spec.policy
     # a sample's Gaussians per step: a sweep's whole pass, or its largest gate
-    width = int(sizes[list(pol.order)].sum() if isinstance(pol, CorrelatedSweep) else sizes.max())
+    width = int(sizes.sum() if isinstance(spec.policy, CorrelatedSweep) else sizes.max())
     # a sample holds its Gaussians, six gate-sized arrays while its Haar gate is made and its
     # gate while the slot's regions are applied, its pick: its uniform, the gathered row of
     # cumulative weights and its comparison, and a few index words (165 B at path n = 5 by
@@ -546,8 +546,7 @@ def _simulate(spec: EnsembleSpec, k_max: int, cfg: OracleConfig, lo: int,
 def _circuit_work(spec: EnsembleSpec, k: int, cfg: OracleConfig) -> int:
     """The work of k-step circuits, in amplitude updates: per sample and step, d^n for each
     gate and _STEP_AMPS for the step's per-sample calls."""
-    pol = spec.policy
-    gates = len(pol.order) if isinstance(pol, CorrelatedSweep) else 1
+    gates = len(spec.structure.regions) if isinstance(spec.policy, CorrelatedSweep) else 1
     return cfg.samples * k * (gates * cfg.d**cfg.n + _STEP_AMPS)
 
 
@@ -865,22 +864,17 @@ def exact_second_moment_projection(op: np.ndarray, region: Region, d: int) -> np
 
 
 def dense_swap(region: Region, d: int) -> np.ndarray:
-    """The two-copy swap operator of a region as a dense permutation matrix."""
+    """The two-copy swap operator of a region as a dense permutation matrix: the identity
+    with the pseudo-sites n + s and s of ``exact_second_moment_projection`` exchanged for
+    each site s of the region, the identity's rows taken as a batch of 2n-site states."""
     n = region.n
-    dn = d**n
-    check_cap("the two-copy swap", dn * dn, MATRIX_DIM_CAP, " dimensions")
-    idx = np.arange(dn * dn)
-    i, j = idx // dn, idx % dn
-    ii, jj = i.copy(), j.copy()
-    for s in region.sites():
-        p = d**s
-        di = (i // p) % d
-        dj = (j // p) % d
-        ii += (dj - di) * p
-        jj += (di - dj) * p
-    out = np.zeros((dn * dn, dn * dn))
-    out[ii * dn + jj, idx] = 1.0
-    return out
+    dim2 = (d**n) ** 2
+    check_cap("the two-copy swap", dim2, MATRIX_DIM_CAP, " dimensions")
+    pseudo = [n + s for s in region.sites()] + list(region.sites())
+    dm = d**region.size
+    blocks = _region_factors(np.eye(dim2), pseudo, 2 * n, d).reshape(dim2, dm, dm, -1)
+    return _from_region_factors(blocks.swapaxes(1, 2).reshape(dim2, dm * dm, -1), pseudo,
+                                2 * n, d)
 
 
 def first_moment_mixture_matrix(structure, d: int) -> np.ndarray:

@@ -99,11 +99,8 @@ class Markov:
 
 @dataclass(frozen=True)
 class CorrelatedSweep:
-    """One step applies every local region once, in the fixed order given.
-
-    ``order[0]``'s map acts on swap vectors first; the simulated circuits
-    realize that by applying its gate last within the sweep.
-    """
+    """One step applies every local region once.  ``order`` lists them as their maps act on
+    swap vectors (``_stages``); ``gate_order`` gives the circuit's order, its reverse."""
 
     order: tuple[int, ...]
 
@@ -319,6 +316,12 @@ def _apply_stage(state, maps: tuple, stage: list[tuple[float, int]], n: int, tol
     return _mix(images, len(stage) * state[0].size, n, tol)
 
 
+def gate_order(spec: EnsembleSpec) -> tuple[int, ...]:
+    """A correlated sweep's region indices in the order its circuit applies their gates.  The
+    swap evolves in the Heisenberg picture, so the last gate's map acts on it first."""
+    return spec.policy.order[::-1]
+
+
 def _stages(spec: EnsembleSpec, step_index: int | None = None) -> list[list[tuple[float, int]]]:
     """One ensemble step as stages in the order their maps act on swaps, each stage the mixture
     of its (weight, region index) pairs: one per region of a sweep, in its order, with weight 1,
@@ -329,19 +332,12 @@ def _stages(spec: EnsembleSpec, step_index: int | None = None) -> list[list[tupl
     if isinstance(pol, Markov):
         raise ValueError("a Markov ensemble is not a single linear map on the swap basis")
     if isinstance(pol, CorrelatedSweep):
-        return [[(1.0, idx)] for idx in pol.order]
+        return [[(1.0, idx)] for idx in reversed(gate_order(spec))]
     if step_index is None:
         if pol.step_weights is not None:
             raise ValueError("time-dependent weights do not define a single step matrix")
         step_index = 0
     return [[(q, idx) for idx, q in enumerate(spec.step_weights(step_index)) if q]]
-
-
-def _step(state, spec: EnsembleSpec, maps: tuple, step_index: int, tol: float):
-    """One index step of an uncorrelated or correlated-sweep ensemble on an array state."""
-    for stage in _stages(spec, step_index):
-        state = _apply_stage(state, maps, stage, spec.structure.n, tol)
-    return state
 
 
 def _to_state(v: SwapVector, n: int):
@@ -367,7 +363,9 @@ def apply_step(v: SwapVector, spec: EnsembleSpec, step_index: int = 0) -> SwapVe
     at ``step_index`` of an uncorrelated ensemble, or all local maps composed in a correlated
     sweep's order.  A Markov ensemble has no single step."""
     maps = _region_maps(spec.structure.regions, spec.d)
-    state = _step(_to_state(v, spec.structure.n), spec, maps, step_index, v.prune_tol)
+    state = _to_state(v, spec.structure.n)
+    for stage in _stages(spec, step_index):
+        state = _apply_stage(state, maps, stage, v.n, v.prune_tol)
     terms = {Region(m, v.n): c for m, c in zip(*(a.tolist() for a in state))}
     return SwapVector(v.n, terms, v.prune_tol)
 
@@ -433,17 +431,25 @@ def purity_trajectory(initial: Region, spec: EnsembleSpec, k_max: int) -> list[f
 
     One index step is a mixture application for uncorrelated policies, a
     chain step for Markov policies, and a full ordered sweep for correlated
-    policies.
+    policies.  The swap evolves in the Heisenberg picture, so a k-step circuit
+    acts on it as steps k - 1, ..., 0 in turn; while every step so far equals
+    step 0, P_k is step k - 1 on the previous swap.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if isinstance(spec.policy, Markov):
         return markov_purity(initial, spec, k_max)
-    state = _to_state(SwapVector.single(initial), spec.structure.n)
+    n = spec.structure.n
+    start = _to_state(SwapVector.single(initial), n)
     maps = _region_maps(spec.structure.regions, spec.d)
-    out = [1.0]
-    for j in range(k_max):
-        state = _step(state, spec, maps, j, DEFAULT_PRUNE_TOL)
+    first = _stages(spec, 0) if k_max else None
+    state, out, repeated = start, [1.0], True
+    for k in range(1, k_max + 1):
+        repeated = repeated and _stages(spec, k - 1) == first
+        state, steps = (state, [k - 1]) if repeated else (start, range(k - 1, -1, -1))
+        for j in steps:
+            for stage in _stages(spec, j):
+                state = _apply_stage(state, maps, stage, n, DEFAULT_PRUNE_TOL)
         out.append(math.fsum(state[1].tolist()))
     return out
 
@@ -594,7 +600,7 @@ def fixed_space_dimension(matrix: np.ndarray, tol: float = RANK_TOL) -> int:
 
 def _site_maps(d: int) -> tuple[np.ndarray, np.ndarray]:
     """One site of the Cholesky factor C of the swap Gram matrix G = C C^T, and one of C^-T."""
-    chol = np.linalg.cholesky(np.array([[1.0, 1.0 / d], [1.0 / d, 1.0]]))
+    chol = np.linalg.cholesky(np.array([[1.0, 1 / d], [1 / d, 1.0]]))
     return chol, np.linalg.inv(chol).T
 
 
@@ -610,7 +616,7 @@ def _on_sites(site: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _gram_root(d: int, power: int) -> np.ndarray:
     """s^power for the symmetric square root s of the one-site swap Gram matrix
     g = [[1, 1/d], [1/d, 1]]: the eigenvalues 1 +- 1/d of g raised to power / 2 on (1, +-1)."""
-    plus, minus = (1.0 + 1.0 / d) ** (power / 2), (1.0 - 1.0 / d) ** (power / 2)
+    plus, minus = (1.0 + 1 / d) ** (power / 2), (1.0 - 1 / d) ** (power / 2)
     return np.array([[plus + minus, plus - minus], [plus - minus, plus + minus]]) / 2
 
 

@@ -405,6 +405,25 @@ class TestOracleCmd:
         assert "run.seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("policy", [
+        {"kind": "markov", "initial": [1, 0, 0], "matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]},
+        {"kind": "uncorrelated", "step_weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    ], ids=["markov", "step-weights"])
+    def test_integer_policy_rows_write_the_columns_of_floats(self, tmp_path, policy):
+        def floats(rows):
+            return [floats(x) for x in rows] if isinstance(rows, list) else float(rows)
+
+        tables = []
+        for name, form in (("ints", policy), ("floats", {key: value if key == "kind" else
+                                                         floats(value)
+                                                         for key, value in policy.items()})):
+            out = tmp_path / f"{name}.csv"
+            cfg = base_config(str(out), policy=form, run={"initial_region": [0], "k_max": 3})
+            cfg["model"] = {"n": 3, "d": 2, "regions": [[0, 1], [1, 2], [0]]}
+            assert run_cli(tmp_path, "oracle", cfg, name=f"{name}.json") == 0
+            tables.append(read_csv(out))
+        assert tables[0] == tables[1]
+
     def test_state_cap(self, tmp_path):
         out = tmp_path / "oracle.csv"
         cfg = {
@@ -806,6 +825,21 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("model, policy, key", [
+        ({"weights": [10**400, 0]}, {"kind": "uncorrelated"}, "model.weights"),
+        ({}, {"kind": "markov", "initial": [0, 10**400], "matrix": [[1, 0], [0, 1]]},
+         "policy.initial"),
+        ({}, {"kind": "uncorrelated", "step_weights": [[1, 0], [10**400, 0]]},
+         "policy.step_weights[1]"),
+    ], ids=["weights", "markov-initial", "step-weights"])
+    def test_integer_beyond_a_float_rejected(self, tmp_path, capsys, model, policy, key):
+        out = tmp_path / "x.csv"
+        cfg = base_config(str(out), model={"n": 3, "regions": [[0, 1], [1, 2]], **model},
+                          policy=policy, run={"initial_region": [0], "k_max": 2})
+        assert run_cli(tmp_path, "oracle", cfg) == 2
+        assert f"error: {key} has an integer beyond a float" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, policy, key", [
         ({"weights": [True, False]}, {"kind": "uncorrelated"}, "model.weights"),
         ({"weights": ["0.5", "0.5"]}, {"kind": "uncorrelated"}, "model.weights"),
         ({}, {"kind": "uncorrelated", "step_weights": [[0.5, 0.5], [True, False]]},
@@ -958,6 +992,49 @@ def test_refusals_name_the_request_and_its_budget(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert re.fullmatch(f"error: .+ needs {requested}, over its budget of {cap}\n", err), err
     assert not out.exists()
+
+
+HUGE = 10**400  # beyond a float
+_CHAIN = {"n": 4, "regions": [[0, 1], [1, 2], [2, 3]]}
+
+
+@pytest.mark.parametrize("command, model_d, run", [
+    pytest.param("bounds", 2, {"bounds": [{"name": "first_moment_convergence", "omega_norm": 2.0,
+                                           "a_norm": 1.5, "epsilon": 0.01, "q_min": 1e-17,
+                                           "num_regions": 4}]}, id="q_min-1e-17"),
+    pytest.param("bounds", 2, {"bounds": [{"name": "correlated_convergence", "gap": 1e-17,
+                                           "n": 6, "epsilon": 0.001}]}, id="gap-1e-17"),
+    *[pytest.param("bounds", 2, {"bounds": [request]}, id=f"{request['name']}-d-1e{exponent}")
+      for exponent in (400, 200) for request in (
+          {"name": "swap_constant", "d": 10**exponent},
+          {"name": "entangling_power", "d": 10**exponent},
+          {"name": "area_law", "pX": 0.5, "pXtilde": 0.25, "d": 10**exponent, "k": 3},
+          {"name": "area_law", "target": [0, 1], "d": 10**exponent, "k": 3},
+          {"name": "t_design", "region_size": 2, "alpha": 0.5, "t": 2, "d": 10**exponent})],
+    *[pytest.param("bounds", 2, {"bounds": [dict(request, **{key: HUGE})]},
+                   id=f"{request['name']}-{key}-1e400") for request, key in (
+        ({"name": "t_design", "region_size": 2, "alpha": 0.5, "t": 2, "d": 2}, "region_size"),
+        ({"name": "t_design", "region_size": 2, "alpha": 0.5, "t": 2, "d": 2}, "t"),
+        ({"name": "area_law", "pX": 0.5, "pXtilde": 0.25, "d": 2, "k": 3}, "k"),
+        ({"name": "correlated_convergence", "gap": 0.3, "n": 6, "epsilon": 0.001}, "n"),
+        ({"name": "correlated_convergence", "gap": 0.3, "n": 6, "epsilon": 0.001}, "epsilon"),
+        ({"name": "first_moment_convergence", "omega_norm": 2.0, "a_norm": 1.5,
+          "epsilon": 0.01, "q_min": 0.25, "num_regions": 4}, "num_regions"))],
+    pytest.param("gap", HUGE, {}, id="gap-model-d-1e400"),
+    pytest.param("fixcheck", HUGE, {}, id="fixcheck-model-d-1e400"),
+    pytest.param("path1d", HUGE, {"initial_region": [0, 1], "k_max": 3}, id="path1d-d-1e400"),
+    pytest.param("evolve", HUGE, {"initial_region": [0, 1], "k_max": 3, "area_law": True},
+                 id="evolve-area-law-d-1e400"),
+])
+def test_extreme_numbers_exit_0_or_2(tmp_path, capsys, command, model_d, run):
+    out = tmp_path / "x.csv"
+    cfg = {"model": dict(_CHAIN, d=model_d), "policy": {"kind": "uncorrelated"}, "run": run,
+           "output": {"path": str(out)}}
+    code = run_cli(tmp_path, command, cfg)
+    assert code in (0, 2), capsys.readouterr().err
+    assert out.exists() == (code == 0)
+    if code == 0:
+        assert read_metadata_config(str(out)) == cfg
 
 
 def test_import_leaves_numpy_random_unloaded():

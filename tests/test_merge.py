@@ -17,7 +17,14 @@ from hypothesis import given, settings, strategies as st
 from lrqc import (CorrelatedSweep, EnsembleSpec, LocalStructure, Markov, PathParams, Region,
                   Uncorrelated, path_structure, purity_exact, purity_trajectory, swapcore)
 from lrqc.swapcore import (DEFAULT_PRUNE_TOL, _alpha, _apply_stage, _markov_branches,
-                           _region_maps, _stages, _step)
+                           _region_maps, _stages)
+
+
+def _step(state, spec, maps, step_index, tol):
+    """One step of the kernel under test: its stages applied in turn."""
+    for stage in _stages(spec, step_index):
+        state = _apply_stage(state, maps, stage, spec.structure.n, tol)
+    return state
 
 
 def ref_region_map(region, d):
@@ -73,10 +80,11 @@ def ref_trajectory(initial, spec, k_max):
         return [1.0] + [math.fsum(q * math.fsum(b[1].tolist())
                                   for q, b in zip(spec.policy.initial, branches))
                         for branches in steps]
-    state = (np.array([initial.bits], dtype=np.uint64), np.array([1.0]))
     out = [1.0]
-    for j in range(k_max):
-        state = ref_step(state, spec, j, DEFAULT_PRUNE_TOL)
+    for k in range(1, k_max + 1):  # a k-step circuit acts on the swap as steps k - 1, ..., 0
+        state = (np.array([initial.bits], dtype=np.uint64), np.array([1.0]))
+        for j in reversed(range(k)):
+            state = ref_step(state, spec, j, DEFAULT_PRUNE_TOL)
         out.append(math.fsum(state[1].tolist()))
     return out
 

@@ -25,6 +25,12 @@ def two_site_spec(d=2):
     return EnsembleSpec(LocalStructure(2, (Region.of([0, 1], 2),)), Uncorrelated(), d)
 
 
+# per-step weights whose step 1 gates {1, 2} only, which leaves the purity of {0} at its
+# step-0 value: P_k = 1, 0.8, 0.8, 0.7776, 0.7776 from {0}
+THREE = LocalStructure(3, tuple(Region.of(s, 3) for s in ([0, 1], [1, 2], [0])))
+STEPS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.2, 0.3, 0.5), (0.0, 0.0, 1.0))
+
+
 class TestHaarUnitary:
     @pytest.mark.parametrize("m", [2, 4, 9])
     def test_unitarity(self, m):
@@ -198,6 +204,19 @@ class TestSampleRegions:
         seq = sample_regions(spec, 20, np.random.default_rng(1))
         assert len(set(seq)) == 1
 
+    @pytest.mark.parametrize("policy", [
+        Markov((1, 0), ((0, 1), (1, 0))),
+        Uncorrelated(((1, 0), (0, 1), (1, 0))),
+    ], ids=["markov", "step-weights"])
+    def test_integer_rows_draw_as_floats(self, policy):
+        def floats(rows):
+            return tuple(floats(x) for x in rows) if isinstance(rows, tuple) else float(rows)
+
+        as_float = type(policy)(*(floats(field) for field in vars(policy).values()))
+        got, want = (sample_regions(EnsembleSpec(path_structure(3), p, 2), 3,
+                                    np.random.default_rng(3)) for p in (policy, as_float))
+        assert got == want == [path_structure(3).regions[i] for i in (0, 1, 0)]
+
     def test_uniform_frequencies(self):
         spec = EnsembleSpec(path_structure(5), Uncorrelated(), 2)
         draws = 10_000
@@ -324,6 +343,16 @@ class TestMcPurity:
         exact = purity_trajectory(initial, spec, 4)
         for est, p in zip(mc[1:], exact[1:]):
             assert abs(est.mean - p) <= 4 * est.stderr
+
+    def test_step_weights_run_in_circuit_order(self):
+        spec = EnsembleSpec(THREE, Uncorrelated(STEPS), 2)
+        initial = Region.of([0], 3)
+        exact = purity_trajectory(initial, spec, 4)
+        assert exact == pytest.approx([1.0, 0.8, 0.8, 0.7776, 0.7776], rel=1e-12)
+        mc = mc_purity_trajectory(spec, initial, 4, OracleConfig(seed=5, samples=20_000, d=2,
+                                                                 n=3))
+        for est, p in zip(mc[1:], exact[1:]):
+            assert abs(est.mean - p) <= 3 * est.stderr
 
     def test_deterministic_given_seed(self):
         spec = EnsembleSpec(path_structure(3), Uncorrelated(), 2)
@@ -545,6 +574,32 @@ def moment_cases(draw, copies):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)), region, d
 
 
+def _ref_dense_swap(region, d):
+    """The former two-copy swap: each region site's digits exchanged by index arithmetic."""
+    n = region.n
+    dn = d**n
+    idx = np.arange(dn * dn)
+    i, j = idx // dn, idx % dn
+    ii, jj = i.copy(), j.copy()
+    for s in region.sites():
+        p = d**s
+        di = (i // p) % d
+        dj = (j // p) % d
+        ii += (dj - di) * p
+        jj += (di - dj) * p
+    out = np.zeros((dn * dn, dn * dn))
+    out[ii * dn + jj, idx] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3), (1, 32)])
+def test_dense_swap_pinned_to_index_arithmetic(n, d):
+    for mask in range(1 << n):
+        region = Region(mask, n)
+        got, want = dense_swap(region, d), _ref_dense_swap(region, d)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestMomentMapsPinnedToBlocks:
     """Both moment maps read an operator as a one-sample state of its row and column sites,
     and give the former block-view results bit for bit."""
@@ -562,6 +617,76 @@ class TestMomentMapsPinnedToBlocks:
         op, region, d = case
         assert np.array_equal(exact_second_moment_projection(op, region, d),
                               _ref_second_moment(op, region, d))
+
+
+def _dense_purity_trajectory(spec, region, k):
+    """P_0..P_k by the two-copy operator of the all-zeros state, evolved in the circuit's
+    own order by ``exact_second_moment_projection`` and read as Tr(S_A X), an elementwise
+    sum: the deterministic twin of the Monte Carlo oracle."""
+    n, d, pol = spec.structure.n, spec.d, spec.policy
+    regions, dim2 = spec.structure.regions, d ** (2 * n)
+    x = np.zeros((dim2, dim2), dtype=complex)
+    x[0, 0] = 1.0
+    swap_t = dense_swap(region, d).T
+
+    out, branches = [1.0], None
+    for j in range(k):
+        if isinstance(pol, Markov):  # the branch of the last region drawn, with its weight
+            branches = [exact_second_moment_projection(
+                pol.initial[r] * x if branches is None else
+                sum(row[r] * b for row, b in zip(pol.matrix, branches)), regions[r], d)
+                for r in range(len(regions))]
+            now = sum(branches)
+        elif isinstance(pol, CorrelatedSweep):
+            for r in reversed(pol.order):  # order[0]'s gate acts last within the sweep
+                x = exact_second_moment_projection(x, regions[r], d)
+            now = x
+        else:
+            x = now = sum(q * exact_second_moment_projection(x, regions[r], d)
+                          for r, q in enumerate(spec.step_weights(j)) if q)
+        out.append(float(np.sum(swap_t * now).real))
+    return out
+
+
+@st.composite
+def two_copy_cases(draw):
+    """(spec, initial region, k): random regions and weights with zeros, under each policy,
+    at n <= 4 for d = 2 and n <= 2 for d = 3, and any initial region."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4 if d == 2 else 2))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=4))
+    m = len(masks)
+    k = draw(st.integers(1, 4))
+    weights = st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any).map(
+        lambda w: tuple(x / sum(w) for x in w))
+    kind = draw(st.sampled_from(["uncorrelated", "step-weights", "markov", "sweep"]))
+    model = None
+    if kind == "uncorrelated":
+        policy, model = Uncorrelated(), draw(st.none() | weights)
+    elif kind == "step-weights":
+        policy = Uncorrelated(tuple(draw(weights) for _ in range(k)))
+    elif kind == "markov":
+        policy = Markov(draw(weights), tuple(draw(weights) for _ in range(m)))
+    else:
+        policy = CorrelatedSweep(tuple(draw(st.permutations(range(m)))))
+    structure = LocalStructure(n, tuple(Region(mask, n) for mask in masks), model)
+    return EnsembleSpec(structure, policy, d), Region(draw(st.integers(0, (1 << n) - 1)), n), k
+
+
+class TestTwoCopyReference:
+    """The swap basis against the exact two-copy evolution of the simulated circuit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_copy_cases())
+    @example((EnsembleSpec(THREE, Uncorrelated(STEPS), 2), Region.of([0], 3), 4))
+    @example((EnsembleSpec(THREE, CorrelatedSweep((2, 0, 1)), 2), Region.of([1], 3), 3))
+    @example((EnsembleSpec(THREE, Markov((0.5, 0.25, 0.25), ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                                                             (1.0, 0.0, 0.0))), 2),
+              Region.of([0], 3), 4))
+    def test_purity_trajectory_matches(self, case):
+        spec, region, k = case
+        np.testing.assert_allclose(purity_trajectory(region, spec, k),
+                                   _dense_purity_trajectory(spec, region, k), rtol=1e-12, atol=0)
 
 
 class TestTraceDistance:

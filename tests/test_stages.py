@@ -17,8 +17,8 @@ from lrqc import (CapExceeded, CorrelatedSweep, EnsembleSpec, LocalStructure, Ma
                   Uncorrelated, build_swap_matrix, path_structure, purity_trajectory,
                   spectral_gap_swap)
 from lrqc.swapcore import (DEFAULT_PRUNE_TOL, _OBJECT_BYTES, _factor, _matrix_bytes,
-                           _region_maps, _stages, _step, _step_factors)
-from test_merge import ref_apply, ref_emit, ref_mix, ref_region_map
+                           _region_maps, _stages, _step_factors)
+from test_merge import _step, ref_apply, ref_emit, ref_mix, ref_region_map
 
 
 def ref_step(state, spec, maps, step_index, tol):
@@ -31,11 +31,12 @@ def ref_step(state, spec, maps, step_index, tol):
 
 
 def ref_trajectory(initial, spec, k_max):
-    state = (np.array([initial.bits], dtype=np.uint64), np.array([1.0]))
     maps = [ref_region_map(r, spec.d) for r in spec.structure.regions]
     out = [1.0]
-    for j in range(k_max):
-        state = ref_step(state, spec, maps, j, DEFAULT_PRUNE_TOL)
+    for k in range(1, k_max + 1):  # a k-step circuit acts on the swap as steps k - 1, ..., 0
+        state = (np.array([initial.bits], dtype=np.uint64), np.array([1.0]))
+        for j in reversed(range(k)):
+            state = ref_step(state, spec, maps, j, DEFAULT_PRUNE_TOL)
         out.append(math.fsum(state[1].tolist()))
     return out
 

@@ -161,9 +161,11 @@ class TestApplyStep:
     def test_iterated_steps_match_trajectory(self, policy):
         spec = EnsembleSpec(path_structure(4), policy, 3)
         initial = Region.of([0, 2], 4)
-        v, got = SwapVector.single(initial), [1.0]
-        for j in range(5):
-            v = apply_step(v, spec, j)
+        got = [1.0]
+        for k in range(1, 6):  # a k-step circuit acts on the swap as steps k - 1, ..., 0
+            v = SwapVector.single(initial)
+            for j in reversed(range(k)):
+                v = apply_step(v, spec, j)
             got.append(contract_factorized(v))
         want = purity_trajectory(initial, spec, 5)
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
