@@ -14,7 +14,7 @@ from .swapcore import (ComponentDecomposition, CorrelatedSweep, EnsembleSpec,
                        build_swap_matrix, complement_involution, complete_structure,
                        connected_components, contract_factorized, fixed_space_dimension,
                        markov_purity, path_structure, purity_infinity,
-                       purity_trajectory, spectral_gap_swap)
+                       purity_trajectory, reachable_boundary_column, spectral_gap_swap)
 from .path1d import (PathParams, SpectralData, analytic_steps_bound, eigenvector,
                      purity_by_matrix_power, purity_exact, purity_infinity_1d,
                      reduced_matrix, short_time_form, short_time_purity, spectral_gap_1d,
@@ -22,7 +22,7 @@ from .path1d import (PathParams, SpectralData, analytic_steps_bound, eigenvector
 from .bounds import (BoundReport, area_law_bound, boundary_probability,
                      correlated_convergence_bound, entangling_power,
                      first_moment_convergence_bound, r1_candidate_spectrum,
-                     reachable_boundary_column, swap_constant, t_design_delta)
+                     swap_constant, t_design_delta)
 from .oracle import (DenseState, DesignDistance, MomentEstimate, OracleConfig,
                      apply_gate, dense_swap, exact_first_moment_map,
                      exact_second_moment_projection, first_moment_mixture_matrix,

@@ -12,13 +12,10 @@ from typing import Any
 
 import numpy as np
 
-from .errors import check_cap
 from .regions import Region, in_boundary
-from .swapcore import (EnsembleSpec, LocalStructure, Uncorrelated, _groups, _region_maps,
-                       _scatter, _stages)
+from .swapcore import LocalStructure
 
 MAX_CANDIDATE_REGIONS = 20
-_ENUMERATION_BYTES = 1 << 25  # bytes of one search depth's images and their merge copies
 
 
 @dataclass(frozen=True)
@@ -60,52 +57,6 @@ def boundary_probability(target: Region, structure: LocalStructure) -> float:
     weights = structure.weight_vector()
     return math.fsum(q for q, region in zip(weights, structure.regions)
                      if in_boundary(region, target))
-
-
-def reachable_boundary_column(initial: Region, structure: LocalStructure,
-                              k_max: int) -> list[tuple[float, float]]:
-    """Largest and smallest boundary weights of the regions reachable in <= k moves, k = 0..k_max.
-
-    One breadth-first search serves every k, each depth one ``_scatter`` pass of the swap-map
-    kernel: a move erases or fills a region of positive weight straddling the current region's
-    boundary, exactly as the evolved swap can.  Feeds ``area_law_bound``.
-
-    Every depth but the last keeps its images to find the next frontier, and counts them
-    first against ``_ENUMERATION_BYTES``: up to two 8-byte masks per frontier swap and region,
-    held by the scattered pieces and their concatenation, the sorted unique copies, or
-    ``searchsorted``'s two index arrays, at most three such arrays at once, with their
-    comparison masks less than a fourth."""
-    if initial.n != structure.n:
-        raise ValueError("initial region universe does not match the structure")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    (stage,) = _stages(EnsembleSpec(structure, Uncorrelated(), 2))
-    maps = _region_maps(structure.regions, 2)  # d only sets the branch weights, unused here
-    seen = frontier = np.array([initial.bits], dtype=np.uint64)
-    p_max, p_min, out = -math.inf, math.inf, []
-    for depth in range(k_max + 1):
-        grow = depth < k_max
-        need = 4 * 2 * 8 * len(stage) * frontier.size if grow else 0
-        check_cap(f"reachable-region enumeration at depth {depth}", need, _ENUMERATION_BYTES,
-                  " bytes")
-        probs, reached = np.zeros(frontier.size), []
-        for q, idx in _groups(stage, frontier.size):
-            erased, _, (row, src, filled, _) = _scatter(frontier, maps, list(idx))
-            np.add.at(probs, src, np.array(q)[row])  # region order, as a per-region loop adds
-            if grow:
-                reached += [erased[row, src], filled]
-        p_max, p_min = float(probs.max(initial=p_max)), float(probs.min(initial=p_min))
-        out.append((p_max, p_min))
-        if grow:  # the images, sorted in place and made unique, minus those seen
-            reached = np.concatenate(reached)
-            reached.sort()
-            reached = np.append(reached[:1], reached[1:][reached[1:] != reached[:-1]])
-            at = np.searchsorted(seen, reached)
-            new = np.searchsorted(seen, reached, side="right") == at
-            frontier = reached[new]
-            seen = np.insert(seen, at[new], frontier)
-            check_cap("reachable-region enumeration", seen.size, 1 << 16, " regions")
-    return out
 
 
 def _or_inf(function, *args) -> float:

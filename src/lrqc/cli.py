@@ -22,8 +22,7 @@ from typing import Any
 from . import __version__
 from .bounds import (area_law_bound, boundary_probability, BoundReport,
                      correlated_convergence_bound, entangling_power,
-                     first_moment_convergence_bound, reachable_boundary_column,
-                     swap_constant, t_design_delta)
+                     first_moment_convergence_bound, swap_constant, t_design_delta)
 from .config import (ExperimentConfig, ValidationError, family_structures,
                      load_config, model_shape, region_from_sites,
                      run_int, spec_from_config, structure_from_model)
@@ -31,9 +30,9 @@ from .errors import CapExceeded, check_cap
 from .oracle import OracleConfig, mc_purity_trajectory
 from .path1d import PathParams, purity_exact, short_time_form, spectrum
 from .regions import Region
-from .swapcore import (EnsembleSpec, LocalStructure, Uncorrelated, connected_components,
-                       fixed_space_dimension, gram_half, purity_infinity, purity_trajectory,
-                       spectral_gap_swap)
+from .swapcore import (EnsembleSpec, LocalStructure, Uncorrelated, check_trajectory_work,
+                       connected_components, fixed_space_dimension, gram_half, purity_infinity,
+                       purity_trajectory, reachable_boundary_column, spectral_gap_swap)
 
 FIXCHECK_MAX_SITES = 10  # bounds the dense eigensolver's time; 2^9-square halves at 10 sites
 # a Monte Carlo mean this close to P_k (say a purity that stays 1) is exact up to
@@ -132,11 +131,13 @@ def cmd_evolve(cfg: ExperimentConfig) -> ResultTable:
     wanted = cfg.run.get("area_law", False)
     if not isinstance(wanted, bool):
         raise ValidationError(f"run.area_law must be true or false, got {wanted!r}")
+    if wanted and (not isinstance(spec.policy, Uncorrelated)
+                   or spec.policy.step_weights is not None):
+        raise ValidationError("the area-law column reads model.weights, so it applies to "
+                              "the uncorrelated policy without policy.step_weights only")
+    check_trajectory_work(spec, k_max)  # before any list of k_max rows
     area_law = {}
     if wanted:  # before the trajectory, so that a refusal costs none of it
-        if not isinstance(spec.policy, Uncorrelated) or spec.policy.step_weights is not None:
-            raise ValidationError("the area-law column reads model.weights, so it applies to "
-                                  "the uncorrelated policy without policy.step_weights only")
         ranges = reachable_boundary_column(initial, spec.structure, k_max)
         area_law["area_law_bound"] = [area_law_bound(p_x, p_xt, d, k).value
                                       for k, (p_x, p_xt) in enumerate(ranges)]

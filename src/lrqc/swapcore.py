@@ -10,8 +10,9 @@ a weighted mixture of region maps, and each stage is one scatter and one
 merge: ``_scatter`` sends the state through a group of the stage's regions at
 once, and ``_mix`` adds the groups' images, in order, into a dense 2^n or a
 sorted accumulator under a byte budget.  The same scatter fills the dense
-step matrices.  ``SwapVector`` is the dict form at the API boundary, and
-``apply_step`` its one step under every policy that has one.
+step matrices and drives the area-law search, ``reachable_boundary_column``.
+``SwapVector`` is the dict form at the API boundary, and ``apply_step`` its
+one step under every policy that has one.
 Everything here is exact linear algebra; the Monte Carlo cross-check lives in
 ``lrqc.oracle``.
 """
@@ -30,6 +31,7 @@ from .errors import NumericalAmbiguityError, check_cap
 from .regions import Region, in_boundary
 
 GAP_MAX_SITES = 14
+TRAJECTORY_MAX_STAGES = 100_000  # bounds a trajectory's time: 4-5 s at it on a 3-site path
 MATRIX_BYTE_BUDGET = 4 << 30  # admits uncorrelated builds up to 14 sites, two-site sweeps up to 13
 DEFAULT_PRUNE_TOL = 1e-15
 RANK_TOL = 1e-9
@@ -41,6 +43,7 @@ _MERGE_BYTES = 1 << 22  # bytes of one group's scattered image, or of a dense ac
 _MASK_BYTES = 256  # bytes a group's scatter and image hold per region and mask; ~100 measured
 _DENSE_RATIO = 16  # dense when 2^n is at most this many times a stage's entries: the two
 # merges of one stage took the same time near this ratio at n = 16 and 18 (2-core VM)
+_ENUMERATION_BYTES = 1 << 25  # bytes of one search depth's images and their merge copies
 
 _log = logging.getLogger("lrqc")
 
@@ -316,6 +319,51 @@ def _apply_stage(state, maps: tuple, stage: list[tuple[float, int]], n: int, tol
     return _mix(images, len(stage) * state[0].size, n, tol)
 
 
+def reachable_boundary_column(initial: Region, structure: LocalStructure,
+                              k_max: int) -> list[tuple[float, float]]:
+    """Largest and smallest boundary weights of the regions reachable in <= k moves, k = 0..k_max.
+
+    One breadth-first search serves every k, each depth one ``_scatter`` pass of the swap-map
+    kernel: a move erases or fills a region of positive weight straddling the current region's
+    boundary, exactly as the evolved swap can.  Feeds ``area_law_bound``.
+
+    Every depth but the last keeps its images to find the next frontier, and counts them
+    first against ``_ENUMERATION_BYTES``: up to two 8-byte masks per frontier swap and region,
+    held by the scattered pieces and their concatenation, the sorted unique copies, or
+    ``searchsorted``'s two index arrays, at most three such arrays at once, with their
+    comparison masks less than a fourth."""
+    if initial.n != structure.n:
+        raise ValueError("initial region universe does not match the structure")
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    (stage,) = _stages(EnsembleSpec(structure, Uncorrelated(), 2))
+    maps = _region_maps(structure.regions, 2)  # d only sets the branch weights, unused here
+    seen = frontier = np.array([initial.bits], dtype=np.uint64)
+    p_max, p_min, out = -math.inf, math.inf, []
+    for depth in range(k_max + 1):
+        grow = depth < k_max
+        need = 4 * 2 * 8 * len(stage) * frontier.size if grow else 0
+        check_cap(f"reachable-region enumeration at depth {depth}", need, _ENUMERATION_BYTES,
+                  " bytes")
+        probs, reached = np.zeros(frontier.size), []
+        for q, idx in _groups(stage, frontier.size):
+            erased, _, (row, src, filled, _) = _scatter(frontier, maps, list(idx))
+            np.add.at(probs, src, np.array(q)[row])  # region order, as a per-region loop adds
+            if grow:
+                reached += [erased[row, src], filled]
+        p_max, p_min = float(probs.max(initial=p_max)), float(probs.min(initial=p_min))
+        out.append((p_max, p_min))
+        if grow:  # the images, sorted in place and made unique, minus those seen
+            reached = np.concatenate(reached)
+            reached.sort()
+            reached = np.append(reached[:1], reached[1:][reached[1:] != reached[:-1]])
+            at = np.searchsorted(seen, reached)
+            new = np.searchsorted(seen, reached, side="right") == at
+            frontier = reached[new]
+            seen = np.insert(seen, at[new], frontier)
+            check_cap("reachable-region enumeration", seen.size, 1 << 16, " regions")
+    return out
+
 def gate_order(spec: EnsembleSpec) -> tuple[int, ...]:
     """A correlated sweep's region indices in the order its circuit applies their gates.  The
     swap evolves in the Heisenberg picture, so the last gate's map acts on it first."""
@@ -426,6 +474,25 @@ def _markov_branches(initial: Region, spec: EnsembleSpec):
         yield branches
 
 
+def check_trajectory_work(spec: EnsembleSpec, k_max: int) -> None:
+    """Refuse a trajectory of k_max steps before its first step when its loop would make more
+    than ``TRAJECTORY_MAX_STAGES`` stage applications: the stages of a step (one per region of
+    a sweep or a Markov draw) once per step while every step equals step 0, and k times for
+    each later step k, since those rerun steps k - 1, ..., 0."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    pol = spec.policy
+    rows = ()
+    if isinstance(pol, Uncorrelated) and pol.step_weights is not None and k_max:
+        spec.step_weights(k_max - 1)  # too few rows: refused here, not at that step
+        rows = pol.step_weights[:k_max]
+    same = next((j for j, row in enumerate(rows) if row != rows[0]), k_max)
+    stages = 1 if isinstance(pol, Uncorrelated) else len(spec.structure.regions)
+    check_cap("a purity trajectory, whose cap bounds its time, not memory,",
+              stages * (same + (k_max * (k_max + 1) - same * (same + 1)) // 2),
+              TRAJECTORY_MAX_STAGES, " stage applications")
+
+
 def purity_trajectory(initial: Region, spec: EnsembleSpec, k_max: int) -> list[float]:
     """Average purity P_0..P_k_max of the initial region's swap under the ensemble.
 
@@ -433,10 +500,10 @@ def purity_trajectory(initial: Region, spec: EnsembleSpec, k_max: int) -> list[f
     chain step for Markov policies, and a full ordered sweep for correlated
     policies.  The swap evolves in the Heisenberg picture, so a k-step circuit
     acts on it as steps k - 1, ..., 0 in turn; while every step so far equals
-    step 0, P_k is step k - 1 on the previous swap.
+    step 0, P_k is step k - 1 on the previous swap.  ``check_trajectory_work`` counts the
+    steps first.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    check_trajectory_work(spec, k_max)
     if isinstance(spec.policy, Markov):
         return markov_purity(initial, spec, k_max)
     n = spec.structure.n
@@ -623,9 +690,8 @@ def _gram_root(d: int, power: int) -> np.ndarray:
 def _gram_block(size: int, d: int) -> np.ndarray:
     """s^(x size) P s^-(x size) for the gate map P of a region on all of its ``size`` sites:
     s^-(x size) maps the rows of P and s^(x size) those of the transpose, both symmetric."""
-    dim = 1 << size
-    src, dst, weight = _factor(Region.full(size), d)
-    gate = np.bincount(dst * dim + src, weights=weight, minlength=dim * dim).reshape(dim, dim)
+    gate = build_swap_matrix(EnsembleSpec(LocalStructure(size, (Region.full(size),)),
+                                          Uncorrelated(), d))
     return _on_sites(_gram_root(d, 1), _on_sites(_gram_root(d, -1), gate).T).T
 
 

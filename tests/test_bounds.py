@@ -12,7 +12,7 @@ from lrqc import (BoundReport, CapExceeded, CorrelatedSweep, EnsembleSpec, Local
                   path_structure, purity_exact, purity_infinity,
                   purity_trajectory, r1_candidate_spectrum, spectral_gap_swap,
                   swap_constant, t_design_delta)
-from lrqc.bounds import reachable_boundary_column
+from lrqc.swapcore import reachable_boundary_column
 
 
 class TestConstants:
@@ -87,7 +87,7 @@ class TestReachableRange:
         st = path_structure(6)
         initial = Region.of([0, 2, 4], 6)
         column = reachable_boundary_column(initial, st, 3)
-        monkeypatch.setattr("lrqc.bounds._ENUMERATION_BYTES", 64 * 5 * 1)
+        monkeypatch.setattr("lrqc.swapcore._ENUMERATION_BYTES", 64 * 5 * 1)
         # depth 0 fits the budget exactly, and the last depth keeps no images
         assert reachable_boundary_column(initial, st, 1) == column[:2]
         with pytest.raises(CapExceeded, match="at depth 1 needs 1920 bytes, over its budget "

@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from lrqc import (CorrelatedSweep, EnsembleSpec, LocalStructure, PathParams, Reg
                   Uncorrelated, __version__, build_swap_matrix, complete_structure,
                   fixed_space_dimension, spectral_gap_1d, spectral_gap_swap)
 from lrqc.cli import COMMANDS, _fixcheck_rows, main, read_metadata_config
+from lrqc.swapcore import TRAJECTORY_MAX_STAGES
 
 
 def run_cli(tmp_path, command, config, name="cfg.json", extra=()):
@@ -112,7 +114,7 @@ class TestEvolve:
         assert not out.exists()
 
     def test_area_law_byte_budget_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("lrqc.bounds._ENUMERATION_BYTES", 320)
+        monkeypatch.setattr("lrqc.swapcore._ENUMERATION_BYTES", 320)
         out = tmp_path / "evolve.csv"
         cfg = base_config(str(out), model={"n": 6, "regions": [[i, i + 1] for i in range(5)]},
                           run={"initial_region": [0, 2, 4], "k_max": 3, "area_law": True})
@@ -321,6 +323,24 @@ class TestGap:
                "output": {"path": str(out)}}
         assert run_cli(tmp_path, "gap", cfg) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["path", "complete"])
+    @pytest.mark.parametrize("size, code, message", [
+        (10**30, 2, "site count must be in [0, 64]"),
+        (65, 2, "site count must be in [0, 64]"),
+        (100000, 2, "site count must be in [0, 64]"),
+        (15, 3, "needs 15 sites, over its budget of 14 sites"),
+    ], ids=["1e30", "65", "100000", "15"])
+    def test_family_sizes_refused_before_their_work(self, tmp_path, capsys, kind, size, code,
+                                                    message):
+        out = tmp_path / "gap.csv"
+        cfg = {"model": {"n": size, "d": 2, "family": {"kind": kind, "sizes": [size]}},
+               "policy": {"kind": "uncorrelated"}, "output": {"path": str(out)}}
+        start = time.perf_counter()
+        assert run_cli(tmp_path, "gap", cfg) == code
+        assert time.perf_counter() - start < 1.0
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_cap_exceeded(self, tmp_path):
@@ -984,13 +1004,37 @@ class TestValidation:
 def test_refusals_name_the_request_and_its_budget(tmp_path, capsys, monkeypatch, command, model,
                                                   run, budget, requested, cap):
     if budget is not None:
-        monkeypatch.setattr("lrqc.bounds._ENUMERATION_BYTES", budget)
+        monkeypatch.setattr("lrqc.swapcore._ENUMERATION_BYTES", budget)
     out = tmp_path / "x.csv"
     cfg = {"model": model, "policy": {"kind": "uncorrelated"}, "run": run,
            "output": {"path": str(out)}}
     assert run_cli(tmp_path, command, cfg) == 3
     err = capsys.readouterr().err
     assert re.fullmatch(f"error: .+ needs {requested}, over its budget of {cap}\n", err), err
+    assert not out.exists()
+
+
+_ALTERNATING = [[0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]] * 1000  # base_config's 4 regions
+
+
+@pytest.mark.parametrize("command, policy, run, requested", [
+    ("evolve", {"step_weights": _ALTERNATING}, {"k_max": 2000}, 2001000),
+    ("oracle", {"step_weights": _ALTERNATING}, {"k_max": 2000}, 2001000),
+    ("evolve", {}, {"k_max": 10**9}, 10**9),
+    ("evolve", {}, {"k_max": 10**9, "area_law": True}, 10**9),
+], ids=["evolve-per-step", "oracle-per-step", "evolve-k-1e9", "evolve-area-law-k-1e9"])
+def test_trajectory_work_refused_before_any_step(tmp_path, capsys, command, policy, run,
+                                                 requested):
+    """Refused by its count.  Step 1's row differs from step 0's, so each step k from 2 on
+    reruns steps k - 1, ..., 0, and 2000 steps cost 1 + 2 + ... + 2000 stages."""
+    out = tmp_path / "x.csv"
+    cfg = base_config(str(out), policy=policy, run=run)
+    start = time.perf_counter()
+    assert run_cli(tmp_path, command, cfg) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: a purity trajectory, whose cap bounds its time, not memory, needs {requested} "
+        f"stage applications, over its budget of {TRAJECTORY_MAX_STAGES} stage applications\n")
     assert not out.exists()
 
 

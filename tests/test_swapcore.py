@@ -10,7 +10,7 @@ from lrqc import (CapExceeded, CorrelatedSweep, EnsembleSpec, LocalStructure,
                   complement_involution, complete_structure, connected_components,
                   contract_factorized, fixed_space_dimension, markov_purity,
                   path_structure, purity_infinity, purity_trajectory,
-                  spectral_gap_swap)
+                  spectral_gap_swap, swapcore)
 
 
 def single(sites, n):
@@ -288,6 +288,35 @@ class TestTrajectory:
         spec = EnsembleSpec(path_structure(3), policy, 2)
         with pytest.raises(ValueError, match="region universe 5 does not match n=3"):
             purity_trajectory(Region.of([0], 5), spec, 2)
+
+    @pytest.mark.parametrize("policy, count", [
+        (Uncorrelated(), 4),
+        (Uncorrelated(((0.5, 0.5),) * 4), 4),  # per-step rows all equal to step 0's
+        (Uncorrelated(((0.5, 0.5), (1.0, 0.0)) * 2), 1 + 2 + 3 + 4),
+        (Uncorrelated(((0.5, 0.5),) * 2 + ((1.0, 0.0),) * 2), 1 + 1 + 3 + 4),
+        (CorrelatedSweep((0, 1)), 2 * 4),
+        (Markov((0.5, 0.5), ((0.5, 0.5), (0.5, 0.5))), 2 * 4),
+    ], ids=["constant", "per-step-constant", "alternating", "late-change", "sweep", "markov"])
+    def test_work_counted_before_the_first_step(self, monkeypatch, policy, count):
+        """The count is the stage applications the loop makes: over it refuses before any."""
+        calls = []
+        apply = swapcore._apply_stage
+        monkeypatch.setattr(swapcore, "_apply_stage", lambda *a: calls.append(1) or apply(*a))
+        spec = EnsembleSpec(path_structure(3), policy, 2)
+        monkeypatch.setattr(swapcore, "TRAJECTORY_MAX_STAGES", count - 1)
+        with pytest.raises(CapExceeded, match=f"needs {count} stage applications, over its "
+                                              f"budget of {count - 1} stage applications"):
+            purity_trajectory(Region.of([0], 3), spec, 4)
+        assert calls == []
+        monkeypatch.setattr(swapcore, "TRAJECTORY_MAX_STAGES", count)
+        assert len(purity_trajectory(Region.of([0], 3), spec, 4)) == 5
+        assert len(calls) == count
+
+    def test_too_few_step_rows_refused_before_the_first_step(self, monkeypatch):
+        monkeypatch.setattr(swapcore, "_apply_stage", None)
+        spec = EnsembleSpec(path_structure(3), Uncorrelated(((0.5, 0.5), (1.0, 0.0))), 2)
+        with pytest.raises(ValueError, match="step index 2 out of range for 2 step weight"):
+            purity_trajectory(Region.of([0], 3), spec, 3)
 
 class TestComponents:
     def test_chain_is_connected(self):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from lrqc import (CapExceeded, CorrelatedSweep, EnsembleSpec, LocalStructure, Markov, Region,
                   SwapVector, Uncorrelated, apply_local, apply_step, build_swap_matrix,
                   path_structure, purity_trajectory, swapcore)
-from lrqc.bounds import boundary_probability, reachable_boundary_column
+from lrqc import boundary_probability, reachable_boundary_column
 
 TOL = 1e-15
 

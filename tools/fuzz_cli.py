@@ -23,11 +23,13 @@ found.
 
 Every quantity that sets how much work or memory a command takes before any cap
 refuses it stays small, and no mutation makes it large: n (path1d's chain
-length, given with run.cut, sizes its lists before any check), k_max (evolve
-and oracle allocate for every step), the gap family's sizes (each structure is
-built before any check, a complete one with n^2 regions), and the oracle's d
-and region sizes (its gates are not counted against a cap, only d^n is).  An example must not be
-able to exhaust the machine.  This check is not part of the test suite.
+length, given with run.cut, sizes its lists before any check), k_max (path1d
+allocates for every step, and the oracle's samples run every step uncounted;
+the swap trajectory counts its own), and the oracle's d and region sizes (its
+gates are not counted against a cap, only d^n is).  An example must not be able
+to exhaust the machine.  The gap family's sizes are mutated freely: a size
+beyond 64 is refused by the first region its structure builds, and one beyond
+14 by the gap's site cap.  This check is not part of the test suite.
 """
 from __future__ import annotations
 
@@ -52,9 +54,8 @@ HUGE = 10**400  # beyond a float
 EXTREMES = (0, -1, 1, 2**63, 10**30, HUGE, 0.0, -1.0, 0.5, 1e-17, 5e-324, 1e308, math.inf,
             -math.inf, math.nan, None, True, "2", [], {})
 # values that set the work of a command with no cap on them yet: path1d's chain length sizes
-# its lists before any check, evolve and oracle allocate for k_max steps, and gap builds
-# each family size's structure
-UNCAPPED = (("model", "n"), ("run", "k_max"), ("model", "family"))
+# its lists before any check, and path1d and the oracle's samples run k_max steps
+UNCAPPED = (("model", "n"), ("run", "k_max"))
 
 
 def distribution(m: int):
