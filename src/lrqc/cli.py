@@ -35,8 +35,8 @@ from .swapcore import (EnsembleSpec, LocalStructure, Uncorrelated, check_traject
                        purity_trajectory, reachable_boundary_column, spectral_gap_swap)
 
 FIXCHECK_MAX_SITES = 10  # bounds the dense eigensolver's time; 2^9-square halves at 10 sites
-# a Monte Carlo mean this close to P_k (say a purity that stays 1) is exact up to
-# rounding, so its z-score is 0, not rounding noise over a rounding-sized stderr
+# a Monte Carlo mean this close to P_k is exact up to rounding, so its z-score is 0: where
+# no gate crosses the cut every sampled purity is 1 and P_k sums weights that may miss 1
 Z_EXACT_TOL = 1e-12
 
 _log = logging.getLogger("lrqc")

@@ -321,8 +321,9 @@ def _region_steps(spec: EnsembleSpec, k: int, streams: Sequence) -> Iterator[np.
     A drawn step takes one uniform u from each stream and picks every stream's region at once
     from a float table of cumulative weights: one row per uncorrelated step (a single row when
     the steps share the model weights), or the Markov initial row and then the row of the
-    previous region.  A row is +inf after its first entry equal to its total, so the pick
-    min(#entries <= u, that entry's index) never lands on a trailing region of weight zero.
+    previous region.  The pick is min(#entries <= u, the index of the row's first entry equal
+    to its total), so it never lands on a trailing region of weight zero, even where rounding
+    leaves the total below u.
     A sweep draws no uniform and its step is its ``gate_order``, the reverse of the order
     ``_stages`` runs its maps on the swap.
     """
@@ -344,7 +345,6 @@ def _region_steps(spec: EnsembleSpec, k: int, streams: Sequence) -> Iterator[np.
         return
     cum = np.cumsum(rows, axis=1, dtype=float)
     last = (cum == cum[:, -1:]).argmax(axis=1)
-    cum[np.arange(cum.shape[1]) > last[:, None]] = np.inf
     row = np.zeros(len(streams), dtype=np.intp)
     for j in range(1, k + 1):
         u = np.fromiter((stream.random() for stream in streams), float, len(streams))

@@ -6,11 +6,15 @@ fixes a swap (when the region does not straddle its boundary) or splits it
 into two swaps with positive branch weights, so a state of the dynamics is a
 sparse positive combination of regions: a sorted, unique ``uint64`` mask
 array plus a ``float64`` coefficient array.  A step is a list of stages, each
-a weighted mixture of region maps, and each stage is one scatter and one
-merge: ``_scatter`` sends the state through a group of the stage's regions at
-once, and ``_mix`` adds the groups' images, in order, into a dense 2^n or a
-sorted accumulator under a byte budget.  The same scatter fills the dense
-step matrices and drives the area-law search, ``reachable_boundary_column``.
+a weighted mixture of region maps.  A stage of several regions on a support
+that fills enough of the 2^n masks runs as strided updates of one dense 2^n
+vector, ``_sum_views``, the way a statevector simulator applies a gate.  Any
+other stage is one scatter and one merge: ``_scatter`` sends the state through
+a group of the stage's regions at once, and ``_mix`` adds the groups' images,
+in order, into a dense 2^n or a sorted accumulator under a byte budget.  Both
+give every mask its terms in the same order, so they agree bit for bit.  The
+same scatter fills the dense step matrices and drives the area-law search,
+``reachable_boundary_column``.
 ``SwapVector`` is the dict form at the API boundary, and ``apply_step`` its
 one step under every policy that has one.
 Everything here is exact linear algebra; the Monte Carlo cross-check lives in
@@ -281,24 +285,33 @@ def _image(state, maps: tuple, q: tuple, idx: tuple) -> tuple[np.ndarray, ...]:
     return _region_major(dst, dst2, row), _region_major(terms, terms2, row)
 
 
-def _mix(images, entries: int, n: int, tol: float):
-    """The sum of images (target masks, terms) over n sites, pruned at ``tol``: the one merge
-    of a stage's groups and of ``markov_purity``'s branch mixtures.
+def _dense(entries: int, n: int) -> bool:
+    """Whether a merge of at least ``entries`` terms over n sites sums into a 2^n accumulator:
+    2^n is at most ``_DENSE_RATIO`` times that, and its 2^n doubles fit ``_MERGE_BYTES``."""
+    return 1 << n <= _DENSE_RATIO * entries and 8 << n <= _MERGE_BYTES
 
-    ``entries`` is a lower bound on the number of terms.  When 2^n is at most
-    ``_DENSE_RATIO`` times that and its 2^n doubles fit ``_MERGE_BYTES``, each image is
-    added into a 2^n accumulator by ``np.add.at``; otherwise it is merged into a sorted
-    accumulator by ``np.unique`` and ``np.bincount``, whose passes also hold a few words per
-    mask already summed.  Both add terms in array order, so every mask's sum is 0 plus its
-    terms in the order they arrive, whatever the grouping and whichever accumulator.
+
+def _nonzero(acc: np.ndarray, tol: float):
+    """The masks and values of a dense accumulator's entries beyond ``tol``."""
+    masks = np.flatnonzero((acc > tol) | (acc < -tol))
+    return masks.view(np.uint64), acc[masks]
+
+
+def _mix(images, entries: int, n: int, tol: float):
+    """The sum of images (target masks, terms) over n sites, pruned at ``tol``: the merge of
+    a one-region or sparse stage's groups and of ``markov_purity``'s branch mixtures.
+
+    ``entries`` is a lower bound on the number of terms.  When ``_dense`` admits it, each
+    image is added into a 2^n accumulator by ``np.add.at``; otherwise it is merged into a
+    sorted accumulator by ``np.unique`` and ``np.bincount``, whose passes also hold a few
+    words per mask already summed.  Both add terms in array order, so every mask's sum is 0
+    plus its terms in the order they arrive, whatever the grouping and whichever accumulator.
     """
-    dim = 1 << n
-    if dim <= _DENSE_RATIO * entries and 8 * dim <= _MERGE_BYTES:
-        acc = np.zeros(dim)
+    if _dense(entries, n):
+        acc = np.zeros(1 << n)
         for m, t in images:
             np.add.at(acc, m, t)
-        masks = np.flatnonzero((acc > tol) | (acc < -tol))
-        return masks.view(np.uint64), acc[masks]
+        return _nonzero(acc, tol)
     masks, coefs = np.empty(0, dtype=np.uint64), np.empty(0)
     for m, t in images:
         masks, inverse = np.unique(np.concatenate((masks, m)), return_inverse=True)
@@ -313,8 +326,74 @@ def _groups(stage: list[tuple[float, int]], masks: int) -> list[tuple[tuple, tup
     return [tuple(zip(*stage[lo:lo + size])) for lo in range(0, len(stage), size)]
 
 
+def _sum_views(state, maps: tuple, stage: list[tuple[float, int]], n: int) -> np.ndarray:
+    """A stage's images summed into a 2^n accumulator, region by region as strided updates.
+
+    With a region's sites on axes of their own, the swaps whose bits there read p form a
+    view.  The gate keeps the all-clear and all-set views and sends a straddled view p to
+    both, weighted by alpha_plus and alpha_minus of |p|.  Into the all-clear view go the kept
+    q (x 1), then every straddled q (x alpha_plus) in ascending p; into the all-set view the
+    same with alpha_minus.  That is the order in which ``_scatter``'s region-major image gives
+    each mask its terms, since its sources ascend with p, and absent swaps add +0.0, which
+    changes no sum.  A region of at most two sites has at most three weights, so its products
+    q (x w) are full arrays shared by the stage's regions of equal weight, three at most held:
+    x, the accumulator and they take at most 40 2^n bytes.  A larger region's products are
+    formed on its views, and a region of more than n / 2 sites, whose views are fewer entries
+    than there are views, adds its scattered image as ``_mix`` does.
+    """
+    bits, table = maps
+    x, acc = np.zeros(1 << n), np.zeros(1 << n)
+    x[state[0]] = state[1]
+    shared = {}
+    for q, idx in stage:
+        sites = [b for b in range(n) if int(bits[idx]) >> b & 1]
+        if 2 * len(sites) > n:
+            np.add.at(acc, *_image(state, maps, (q,), (idx,)))
+            continue
+        if len(sites) > 2:
+            shared.clear()
+        shape, top = [], n  # a run of other bits, then a site's bit, highest first
+        for b in reversed(sites):
+            shape += [1 << (top - b - 1), 2]
+            top = b
+        shape.append(1 << top)
+        at = [(*(v for bit in p for v in (slice(None), bit)), slice(None))
+              for p in itertools.product((0, 1), repeat=len(sites))]  # view p is at[p]
+
+        def term(w, p):  # q (x w) on view p
+            if len(sites) > 2:
+                t = x.reshape(shape)[at[p]] * w
+                t *= q
+                return t
+            if (q, w) not in shared:
+                if len(shared) == 3:
+                    shared.clear()
+                shared[q, w] = x * w
+                shared[q, w] *= q
+            return shared[q, w].reshape(shape)[at[p]]
+
+        blocks, full = acc.reshape(shape), len(at) - 1
+        for kept, row in ((0, 0), (full, 1)):
+            into = blocks[at[kept]]
+            into += term(1.0, kept)
+            for p in range(1, full):
+                into += term(table[idx, row, p.bit_count()], p)
+    return acc
+
+
 def _apply_stage(state, maps: tuple, stage: list[tuple[float, int]], n: int, tol: float):
-    """One stage, the mixture of its (weight, region index) pairs, on an array state."""
+    """One stage, the mixture of its (weight, region index) pairs, on an array state.
+
+    A stage of two or more regions is summed by ``_sum_views`` when ``_dense`` admits its
+    support alone: the views cost each region about a pass over 2^n, the scatter about 25
+    over the support.  Admitting the stage's entries, as ``_mix`` does, made the complete n = 12
+    trajectory slower, from early stages whose support is a few percent of 2^n.  A one-region
+    stage (a sweep's, a Markov branch's) stays on ``_scatter``: on views, the sparse n = 16
+    sweeps ran 1.4-1.5 times slower.  Every path adds each mask's terms in the same order, so
+    the result does not depend on which one ran.
+    """
+    if len(stage) > 1 and _dense(state[0].size, n):
+        return _nonzero(_sum_views(state, maps, stage, n), tol)
     images = (_image(state, maps, q, idx) for q, idx in _groups(stage, state[0].size))
     return _mix(images, len(stage) * state[0].size, n, tol)
 

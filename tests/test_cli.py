@@ -389,19 +389,22 @@ class TestOracleCmd:
         assert run_cli(tmp_path, "oracle", cfg, extra=("--samples", "50")) == 0
         assert read_metadata_config(str(out))["run"]["samples"] == 50
 
-    @pytest.mark.parametrize("regions, initial", [
-        ([[0, 1], [1, 2], [2, 3]], [0, 1, 2, 3]),
-        ([[0, 1], [2, 3]], [0, 1]),
+    @pytest.mark.parametrize("n, regions, initial", [
+        (4, [[0, 1], [1, 2], [2, 3]], [0, 1, 2, 3]),
+        (4, [[0, 1], [2, 3]], [0, 1]),
+        # seven weights of 1/7 sum to 1 - 2^-52, so there P_k misses 1 by rounding
+        (8, [[i, i + 1] for i in range(7)], list(range(8))),
     ])
-    def test_exact_purity_scores_zero(self, tmp_path, regions, initial):
-        # P_k stays 1, so the sampled purities differ from it by rounding only
+    def test_exact_purity_scores_zero(self, tmp_path, n, regions, initial):
+        # no gate crosses the cut: every sampled purity is exactly 1, and P_k 1 up to rounding
         out = tmp_path / "oracle.csv"
         cfg = base_config(str(out), run={"initial_region": initial, "k_max": 12, "seed": 3,
                                          "samples": 1000})
-        cfg["model"] = {"n": 4, "d": 2, "regions": regions}
+        cfg["model"] = {"n": n, "d": 2, "regions": regions}
         assert run_cli(tmp_path, "oracle", cfg) == 0
         _, rows = read_csv(out)
-        assert all(float(row[1]) == 1.0 for row in rows)
+        assert all(abs(float(row[1]) - 1.0) <= 1e-12 for row in rows)
+        assert all(float(row[2]) == 1.0 and float(row[3]) == 0.0 for row in rows)
         assert [float(row[4]) for row in rows] == [0.0] * 13
 
     def test_reruns_byte_identical_at_blas_size(self, tmp_path):

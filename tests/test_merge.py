@@ -195,6 +195,60 @@ def test_one_step_on_a_full_support_stays_within_the_merge_budget():
     assert peak <= swapcore._MERGE_BYTES + 8 * (1 << n) + 16 * (1 << n)
 
 
+@st.composite
+def view_stages(draw):
+    """Stages of two or more regions of 1..n sites, some sites idle, uniform or drawn weights
+    with zeros, d = 2 or 3, n <= 10, and a state with unequal coefficients of either sign."""
+    n = draw(st.integers(2, 10))
+    sizes = st.integers(1, n).flatmap(
+        lambda s: st.lists(st.integers(0, n - 1), min_size=s, max_size=s, unique=True))
+    regions = tuple(Region.of(s, n) for s in draw(st.lists(sizes, min_size=2, max_size=6)))
+    m = len(regions)
+    weights = _weights(draw, m) if draw(st.booleans()) else None
+    spec = EnsembleSpec(LocalStructure(n, regions, weights), Uncorrelated(),
+                        draw(st.sampled_from([2, 3])))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n,
+                          unique=True))
+    coefs = draw(st.lists(st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3), min_size=len(masks),
+                          max_size=len(masks)))
+    return spec, (np.sort(np.array(masks, dtype=np.uint64)), np.array(coefs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(view_stages(), st.sampled_from([0.0, DEFAULT_PRUNE_TOL]))
+def test_view_stages_match_the_scatter(case, tol):
+    spec, state = case
+    n, (stage,) = spec.structure.n, _stages(spec)
+    maps = _region_maps(spec.structure.regions, spec.d)
+    images = [swapcore._image(state, maps, q, idx) for q, idx in swapcore._groups(stage, 1)]
+    # every state is dense at n <= 10 under these budgets, for the views and for the scatter
+    with _budget((1 << 13, 1 << 20)), mock.patch.object(
+            swapcore, "_sum_views", wraps=swapcore._sum_views) as views:
+        got = _apply_stage(state, maps, stage, n, tol)
+        scattered = swapcore._mix(images, len(stage) * state[0].size, n, tol)
+    assert views.called == (len(stage) > 1)
+    assert _same(got, scattered)
+    assert _same(got, ref_step(state, spec, 0, tol))
+
+
+def test_a_weighted_view_stage_holds_the_vector_its_sum_and_three_products():
+    n = 14
+    weights = tuple(np.arange(1.0, n) / sum(range(1, n)))  # a new weight at every region
+    spec = EnsembleSpec(LocalStructure(n, path_structure(n).regions, weights), Uncorrelated(), 3)
+    maps = _region_maps(spec.structure.regions, spec.d)
+    state = (np.arange(1 << n, dtype=np.uint64), np.linspace(1.0, 2.0, 1 << n))
+    tracemalloc.start()
+    try:
+        got = _step(state, spec, maps, 0, DEFAULT_PRUNE_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _same(got, ref_step(state, spec, 0, DEFAULT_PRUNE_TOL))
+    assert peak <= swapcore._MERGE_BYTES + 8 * (1 << n) + 16 * (1 << n)
+    # x, the accumulator and three products, beside numpy's buffers for a strided add
+    assert peak <= 40 * (1 << n) + 16 * np.getbufsize() + swapcore._OBJECT_BYTES
+
+
 def test_path_prefix_matches_the_closed_form_at_n24():
     n, k = 24, 40
     spec = EnsembleSpec(path_structure(n), Uncorrelated(), 2)

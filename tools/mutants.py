@@ -61,6 +61,17 @@ MUTANTS = (
     Mutant("sweep-in-listed-order", "swapcore.py",
            "return spec.policy.order[::-1]", "return spec.policy.order",
            ("tests/test_stages.py", "tests/test_gap.py::test_gap_matches_dense_reference")),
+    Mutant("view-kept-term-last", "swapcore.py",
+           "            into += term(1.0, kept)\n"
+           "            for p in range(1, full):\n"
+           "                into += term(table[idx, row, p.bit_count()], p)\n",
+           "            for p in range(1, full):\n"
+           "                into += term(table[idx, row, p.bit_count()], p)\n"
+           "            into += term(1.0, kept)\n",
+           ("tests/test_merge.py::test_view_stages_match_the_scatter",)),
+    Mutant("view-straddled-descending", "swapcore.py",
+           "for p in range(1, full):", "for p in reversed(range(1, full)):",
+           ("tests/test_merge.py::test_view_stages_match_the_scatter",)),
     Mutant("zero-weights-kept", "swapcore.py",
            "for idx, q in enumerate(spec.step_weights(step_index)) if q]]",
            "for idx, q in enumerate(spec.step_weights(step_index))]]",
@@ -84,8 +95,9 @@ MUTANTS = (
     Mutant("z-exact-tolerance-zero", "cli.py",
            "Z_EXACT_TOL = 1e-12", "Z_EXACT_TOL = 0.0",
            ("tests/test_cli.py::TestOracleCmd",)),
-    Mutant("region-pick-without-inf-padding", "oracle.py",
-           "    cum[np.arange(cum.shape[1]) > last[:, None]] = np.inf\n", "",
+    Mutant("region-pick-without-clamp", "oracle.py",
+           "np.minimum((cum[row] <= u[:, None]).sum(axis=1), last[row])",
+           "(cum[row] <= u[:, None]).sum(axis=1)",
            ("tests/test_oracle.py::TestSampleRegions",
             "tests/test_oracle.py::TestEnginePinnedToReference::test_pick_on_ties_and_rounding")),
     Mutant("forked-keeps-blas-threads", "oracle.py",
