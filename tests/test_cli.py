@@ -389,13 +389,13 @@ class TestOracleCmd:
         assert run_cli(tmp_path, "oracle", cfg, extra=("--samples", "50")) == 0
         assert read_metadata_config(str(out))["run"]["samples"] == 50
 
-    @pytest.mark.parametrize("n, regions, initial", [
-        (4, [[0, 1], [1, 2], [2, 3]], [0, 1, 2, 3]),
-        (4, [[0, 1], [2, 3]], [0, 1]),
+    @pytest.mark.parametrize("n, regions, initial, p_k_exact", [
+        (4, [[0, 1], [1, 2], [2, 3]], [0, 1, 2, 3], True),
+        (4, [[0, 1], [2, 3]], [0, 1], True),
         # seven weights of 1/7 sum to 1 - 2^-52, so there P_k misses 1 by rounding
-        (8, [[i, i + 1] for i in range(7)], list(range(8))),
+        (8, [[i, i + 1] for i in range(7)], list(range(8)), False),
     ])
-    def test_exact_purity_scores_zero(self, tmp_path, n, regions, initial):
+    def test_exact_purity_scores_zero(self, tmp_path, n, regions, initial, p_k_exact):
         # no gate crosses the cut: every sampled purity is exactly 1, and P_k 1 up to rounding
         out = tmp_path / "oracle.csv"
         cfg = base_config(str(out), run={"initial_region": initial, "k_max": 12, "seed": 3,
@@ -403,7 +403,8 @@ class TestOracleCmd:
         cfg["model"] = {"n": n, "d": 2, "regions": regions}
         assert run_cli(tmp_path, "oracle", cfg) == 0
         _, rows = read_csv(out)
-        assert all(abs(float(row[1]) - 1.0) <= 1e-12 for row in rows)
+        p_k = [float(row[1]) for row in rows]
+        assert all(abs(p - 1.0) <= 1e-12 for p in p_k) and (p_k == [1.0] * 13) == p_k_exact
         assert all(float(row[2]) == 1.0 and float(row[3]) == 0.0 for row in rows)
         assert [float(row[4]) for row in rows] == [0.0] * 13
 

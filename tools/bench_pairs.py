@@ -95,7 +95,7 @@ def main(argv=None) -> int:
                     f"{m} {result['metrics'][m]['value']:.4g}" for m in better), flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    last = seed
+    last = args.first_seed + args.pairs - 1
     doc = {
         "workload": args.workload,
         "claim": args.claim,
